@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-admission bench-pipeline bench-all bench-gate smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
+.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-admission bench-all bench-gate bench-e2e bench-aa smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
 
 # Commit id stamped into BENCH_HISTORY.jsonl entries; CI overrides it.
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -49,28 +49,31 @@ bench-replication:
 bench-admission:
 	$(GO) run ./cmd/innet-bench -quick -only admission -admission-json BENCH_admission.json
 
-# Compiled run-to-completion pipeline vs graph-walk dispatch (burst
-# sweep + 1/2/4/8 worker engine sweep); writes BENCH_pipeline.json
-# (docs/FORMATS.md §13).
-bench-pipeline:
-	$(GO) run ./cmd/innet-bench -quick -pipeline -pipeline-json BENCH_pipeline.json
+# The end-to-end benchmark (benchmark/README.md): packet path and
+# deploy path, every workload untraced then traced, with the per-layer
+# budget. This, not the single-layer suites below, judges a change.
+bench-e2e:
+	$(GO) run ./benchmark
+
+# A/A check of the end-to-end benchmark: 2 x 10 interleaved runs of
+# this commit against the bounds in BENCHMARK.json.
+bench-aa:
+	bash benchmark/aa.sh 10
 
 # Every bench suite in one run, all JSON reports under the
 # innet-bench/1 schema, plus one appended per-commit entry in
 # BENCH_HISTORY.jsonl (docs/FORMATS.md §14).
 bench-all:
 	$(GO) run ./cmd/innet-bench -quick \
-		-only fastpath,telemetry,replication,admission,pipeline \
+		-only fastpath,telemetry,replication,admission \
 		-json BENCH_pr3.json \
 		-telemetry-json BENCH_telemetry.json \
 		-replication-json BENCH_replication.json \
 		-admission-json BENCH_admission.json \
-		-pipeline-json BENCH_pipeline.json \
 		-history BENCH_HISTORY.jsonl -commit $(COMMIT) -env $(BENCH_ENV)
 
 # Fail when the newest BENCH_HISTORY.jsonl entry regressed >15% vs
-# the previous same-env entry (dispatch pps, cold admission ops/s,
-# compiled pipeline pps).
+# the previous same-env entry (dispatch pps, cold admission ops/s).
 bench-gate:
 	./scripts/bench_gate.sh BENCH_HISTORY.jsonl
 

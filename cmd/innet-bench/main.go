@@ -20,15 +20,13 @@ import (
 func main() {
 	var (
 		quick   = flag.Bool("quick", false, "shrink the heavyweight sweeps")
-		only    = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, fastpath, telemetry, replication, admission, pipeline")
+		only    = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, fastpath, telemetry, replication, admission")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
-		batch   = flag.Int("batch", 0, "dataplane batch size for fastpath and pipeline (0 = default)")
-		pipe    = flag.Bool("pipeline", false, "run just the compiled-pipeline experiment (same as -only pipeline)")
+		batch   = flag.Int("batch", 0, "dataplane batch size for fastpath (0 = default)")
 		jsonOut = flag.String("json", "", "also write the fastpath results to this file (BENCH_pr3.json)")
 		telOut  = flag.String("telemetry-json", "", "also write the telemetry overhead results to this file")
 		replOut = flag.String("replication-json", "", "also write the failover results to this file (BENCH_replication.json)")
 		admOut  = flag.String("admission-json", "", "also write the admission-scaling results to this file (BENCH_admission.json)")
-		pipeOut = flag.String("pipeline-json", "", "also write the pipeline results to this file (BENCH_pipeline.json)")
 		histOut = flag.String("history", "", "append a per-commit entry with this run's headline metrics to this file (BENCH_HISTORY.jsonl)")
 		commit  = flag.String("commit", "unknown", "commit id recorded in the -history entry")
 		env     = flag.String("env", "local", "environment label recorded in the -history entry (gate compares same-env entries only)")
@@ -36,16 +34,11 @@ func main() {
 		gateTol = flag.Float64("gate-threshold", 0.15, "relative drop that trips -gate")
 	)
 	flag.Parse()
-	if *pipe {
-		*only = "pipeline"
-	}
 
 	var fastpath *bench.FastPathResult
 	var tel *bench.TelemetryResult
 	var repl *bench.ReplicationResult
 	var adm *bench.AdmissionScalingResult
-	var pipeRes *bench.PipelineResult
-	batchCfg := bench.BatchConfig{Size: *batch}
 
 	runners := map[string]func() *bench.Table{
 		"fig5":        func() *bench.Table { return bench.Fig5(*quick) },
@@ -84,17 +77,13 @@ func main() {
 			adm = bench.AdmissionScalingMeasure(*quick)
 			return bench.AdmissionScalingTable(adm)
 		},
-		"pipeline": func() *bench.Table {
-			pipeRes = bench.PipelineMeasure(*quick, batchCfg)
-			return bench.PipelineTable(pipeRes)
-		},
 	}
 	order := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"mawi", "mawi-replay", "controller", "https",
 		"ablation-a", "ablation-b", "ablation-c", "fastpath", "telemetry",
-		"replication", "admission", "pipeline",
+		"replication", "admission",
 	}
 
 	writeFile := func(path string, data []byte, err error) {
@@ -136,23 +125,13 @@ func main() {
 			data, err := adm.JSON()
 			writeFile(*admOut, data, err)
 		}
-		if *pipeOut != "" {
-			if pipeRes == nil {
-				pipeRes = bench.PipelineMeasure(*quick, batchCfg)
-			}
-			data, err := pipeRes.JSON()
-			writeFile(*pipeOut, data, err)
-		}
 		if *histOut != "" {
 			e := bench.NewHistoryEntry(*commit, *env)
 			if fastpath != nil {
 				e.RecordFastPath(fastpath)
 			}
-			if pipeRes != nil {
-				e.RecordPipeline(pipeRes)
-			}
 			if len(e.Metrics) == 0 {
-				fmt.Fprintln(os.Stderr, "innet-bench: -history set but no gated suite ran (need fastpath and/or pipeline)")
+				fmt.Fprintln(os.Stderr, "innet-bench: -history set but no gated suite ran (need fastpath)")
 				os.Exit(2)
 			}
 			if err := bench.AppendHistory(*histOut, e); err != nil {
@@ -181,7 +160,7 @@ func main() {
 	// Standalone gate: no experiments requested, just check the
 	// history file (scripts/bench_gate.sh path).
 	if *gate && *only == "" && *jsonOut == "" && *telOut == "" &&
-		*replOut == "" && *admOut == "" && *pipeOut == "" {
+		*replOut == "" && *admOut == "" {
 		if *histOut == "" {
 			fmt.Fprintln(os.Stderr, "innet-bench: -gate requires -history FILE")
 			os.Exit(2)

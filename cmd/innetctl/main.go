@@ -241,8 +241,7 @@ func health(c *api.Client) error {
 		}
 	}
 	if p := h.Pipeline; p != nil {
-		fmt.Printf("pipeline: workers=%d compiled=%d fallback=%d\n",
-			p.Workers, p.Compiled, p.Fallback)
+		fmt.Printf("pipeline: compiled=%d fallback=%d\n", p.Compiled, p.Fallback)
 		reasons := make([]string, 0, len(p.Reasons))
 		for r := range p.Reasons {
 			reasons = append(reasons, r)
@@ -432,16 +431,8 @@ func pathtrace(c *api.Client, args []string) error {
 		fmt.Printf("trace %d flow=%x dataplane=%s (at %s)\n",
 			tr.Seq, tr.FlowHash, tr.Dataplane, tr.Time.Format(time.RFC3339))
 		for _, h := range tr.Hops {
-			elem := h.Elem
-			if elem == "" {
-				elem = "(egress)"
-			}
-			fused := ""
-			if h.FusedRun >= 0 {
-				fused = fmt.Sprintf("  [fused run %d]", h.FusedRun)
-			}
-			fmt.Printf("  %-18s in=%-3s out=%-3s %s%s\n",
-				elem, port(h.InPort), port(h.OutPort), h.Verdict, fused)
+			fmt.Printf("  %-18s in=%-3s out=%-3s %s\n",
+				h.Elem, port(h.InPort), port(h.OutPort), h.Verdict)
 		}
 	}
 	return nil

@@ -108,7 +108,7 @@ func TestPathTraceEndpoint(t *testing.T) {
 	if len(hops) == 0 {
 		t.Fatal("trace has no hops")
 	}
-	for _, key := range []string{"elem", "in_port", "out_port", "verdict", "fused_run"} {
+	for _, key := range []string{"elem", "in_port", "out_port", "verdict"} {
 		if _, ok := hops[0][key]; !ok {
 			t.Errorf("hop missing %q: %s", key, trace["hops"])
 		}

@@ -598,7 +598,6 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	}
 	ps := s.ctl.PipelineStatsSnapshot()
 	resp.Pipeline = &PipelineInfo{
-		Workers:  ps.Workers,
 		Compiled: ps.Compiled,
 		Fallback: ps.Fallback,
 		Reasons:  ps.Reasons,

@@ -208,7 +208,9 @@ func measureDispatchBatch(shards, g, perG, batch int) float64 {
 // iteration counts for CI; batch is the dataplane burst size (0 =
 // dataplane.DefaultBatchSize).
 func FastPathMeasure(quick bool, batch int) *FastPathResult {
-	batch = BatchConfig{Size: batch}.BatchSize()
+	if batch <= 0 {
+		batch = dataplane.DefaultBatchSize
+	}
 	cycles, pkts, trials := 400, 2_000_000, 3
 	if quick {
 		cycles, pkts, trials = 120, 500_000, 2

@@ -55,13 +55,6 @@ func (e *HistoryEntry) RecordFastPath(r *FastPathResult) {
 	e.Metrics["admission_warm_ops_per_sec"] = r.AdmissionWarmOpsPerSec
 }
 
-// RecordPipeline folds the pipeline suite's headline numbers in.
-func (e *HistoryEntry) RecordPipeline(r *PipelineResult) {
-	e.Metrics["pipeline_graph_pps"] = r.GraphPPS
-	e.Metrics["pipeline_compiled_pps"] = r.CompiledPPS
-	e.Metrics["pipeline_speedup"] = r.SingleCoreSpeedup
-}
-
 // AppendHistory writes the entry as one JSON line, creating the file
 // on first use. Append-only by construction: nothing ever rewrites
 // earlier lines.
@@ -117,7 +110,6 @@ func ReadHistory(path string) ([]HistoryEntry, error) {
 var GatedMetrics = []string{
 	"dispatch_batch_pps",
 	"admission_cold_ops_per_sec",
-	"pipeline_compiled_pps",
 }
 
 // GateError lists the regressions that tripped the gate.

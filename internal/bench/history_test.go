@@ -68,8 +68,8 @@ func TestGateSkipsOtherEnvsAndNewMetrics(t *testing.T) {
 	entries := []HistoryEntry{
 		*entry("aaa", map[string]float64{"dispatch_batch_pps": 10e6}),
 		*other,
-		// pipeline_compiled_pps appears for the first time: not gated.
-		*entry("bbb", map[string]float64{"dispatch_batch_pps": 10e6, "pipeline_compiled_pps": 50e6}),
+		// admission_cold_ops_per_sec appears for the first time: not gated.
+		*entry("bbb", map[string]float64{"dispatch_batch_pps": 10e6, "admission_cold_ops_per_sec": 1e3}),
 	}
 	if err := Gate(entries, 0.15); err != nil {
 		t.Fatal(err)

@@ -173,13 +173,53 @@ func measureAdmissionTelemetry(enabled bool, cycles int) float64 {
 	return float64(cycles) / time.Since(start).Seconds()
 }
 
+// pipelineBenchConfig is the chain the path-trace pair measures: header
+// validation, marking, TTL, accounting — the common middlebox prefix.
+// The per-element work is deliberately cheap so the tracer's cost is
+// not hidden behind element internals.
+const pipelineBenchConfig = `
+in :: FromNetfront();
+chk :: CheckIPHeader;
+pnt :: Paint(7);
+ttl :: DecIPTTL;
+cnt :: Counter;
+out :: ToNetfront();
+d :: Discard;
+in -> chk -> pnt -> ttl -> cnt -> out;
+chk[1] -> d;
+ttl[1] -> d;
+`
+
+// pipelineFlows builds nflows pre-stamped measurement packets.
+func pipelineFlows(nflows int) []*packet.Packet {
+	pkts := make([]*packet.Packet, nflows)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{
+			Protocol: packet.ProtoUDP,
+			SrcIP:    packet.MustParseIP("8.8.8.8") + uint32(i),
+			DstIP:    packet.MustParseIP("198.51.100.10"),
+			SrcPort:  uint16(1024 + i),
+			DstPort:  1500, TTL: 255,
+			Payload: make([]byte, 36),
+		}
+	}
+	return pkts
+}
+
+// resetTTLs restores the field the chain mutates, so every
+// measurement round sees identical packets.
+func resetTTLs(pkts []*packet.Packet) {
+	for _, p := range pkts {
+		p.TTL = 255
+	}
+}
+
 // measurePipelinePathTrace pushes n pre-stamped packets through the
-// compiled Exec in bursts of batch — measurePipelineCompiled's
-// workload — optionally with flow-sampled path tracing armed at the
-// default rate. The burst window slides through a doubled flow slice
+// compiled Exec in bursts of batch, optionally with flow-sampled path
+// tracing armed at the default rate. The burst window slides through a doubled flow slice
 // so every flow takes the head slot in turn: the armed side pays the
-// real steady state (one AffinityHash per burst, and a full traced
-// sweep whenever the head flow lands on the 1-in-every residue)
+// real steady state (one AffinityHash per burst, and a traced run
+// whenever the head flow lands on the 1-in-every residue)
 // rather than a fixed head that either always samples or never does.
 // Returns the elapsed send time and the number of traces committed.
 func measurePipelinePathTrace(n, batch int, enabled bool) (time.Duration, uint64) {

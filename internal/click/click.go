@@ -9,6 +9,11 @@
 // dropped. Elements that emit packets on their own schedule (queues
 // drained by TimedUnqueue, rate limiters) implement Ticker and are
 // driven by the owner of the router (dataplane loop or simulator).
+//
+// Each element class defines its per-packet behaviour exactly once, in
+// Step. Two drivers run it: Push here (the graph walk, following
+// click.Target wiring) and pipeline.Exec (the same walk over a
+// pre-resolved stage table).
 package click
 
 import (
@@ -32,11 +37,12 @@ type Context struct {
 	// DropHook, if non-nil, observes every dropped packet (packets
 	// pushed to an unconnected port or discarded by an element).
 	DropHook func(p *packet.Packet)
-	// PathHook, if non-nil, observes every hop a packet takes through
-	// the graph walk: the element it leaves, the output port it used
-	// and the input port it arrives on. The sampled path tracer arms
-	// it per traced packet; when unset each hop pays one nil check.
-	PathHook func(elem string, outPort, inPort int, p *packet.Packet)
+	// PathHook, if non-nil, observes every Step of the graph walk: the
+	// element, the port the packet arrived on, the output port the
+	// element chose (-1 when it consumed the packet) and what became
+	// of the packet. The sampled path tracer arms it per traced packet;
+	// when unset each step pays one nil check.
+	PathHook func(elem string, inPort, outPort int, v Verdict, p *packet.Packet)
 	// Pool recycles dropped packets when non-nil.
 	Pool *packet.Pool
 }
@@ -61,13 +67,27 @@ type Element interface {
 	// Configure; AnyPorts (-1) means any number is accepted.
 	InPorts() int
 	OutPorts() int
-	// Push processes a packet arriving on an input port.
-	Push(ctx *Context, port int, p *packet.Packet)
+	// Step is the class's whole per-packet behaviour: it processes a
+	// packet arriving on an input port and returns the output port the
+	// packet continues on, or a consumed verdict (Tx, Held, Drop). It
+	// must not forward, transmit or dispose of the packet itself — the
+	// driver acts on the verdict.
+	Step(env Env, port int, p *packet.Packet) Verdict
 
 	// Name and wiring, implemented by embedding Base.
 	Name() string
 	SetName(string)
 	SetOutput(port int, t Target) error
+	Wiring() *Base
+}
+
+// Env is what a Step may ask of the driver running it.
+type Env interface {
+	// Now returns the current time in nanoseconds (virtual or wall).
+	Now() int64
+	// Emit sends an extra packet (a Tee copy) out of from's output
+	// port and runs it to its verdict before returning.
+	Emit(from Element, port int, p *packet.Packet)
 }
 
 // AnyPorts marks a variable port count.
@@ -77,6 +97,9 @@ const AnyPorts = -1
 type Target struct {
 	Elem Element
 	Port int
+	// base is Elem.Wiring(), cached by SetOutput so the graph walk
+	// follows an edge without a second interface call per hop.
+	base *Base
 }
 
 // Ticker is implemented by elements that need periodic scheduling
@@ -125,19 +148,21 @@ func (b *Base) SetOutput(p int, t Target) error {
 	if b.outs[p].Elem != nil {
 		return fmt.Errorf("click: output port %d already connected", p)
 	}
+	t.base = t.Elem.Wiring()
 	b.outs[p] = t
 	return nil
 }
 
+// Wiring returns the element's Base: its name and output wiring.
+func (b *Base) Wiring() *Base { return b }
+
 // Out forwards a packet through output port p, dropping it if the
-// port is unconnected.
+// port is unconnected. It is for packets an element releases on its own
+// schedule (Ticker drains, pull consumers); a Step returns the port
+// instead.
 func (b *Base) Out(ctx *Context, p int, pk *packet.Packet) {
-	if p < len(b.outs) && b.outs[p].Elem != nil {
-		t := b.outs[p]
-		if ctx.PathHook != nil {
-			ctx.PathHook(b.name, p, t.Port, pk)
-		}
-		t.Elem.Push(ctx, t.Port, pk)
+	if t := b.Target(p); t.Elem != nil {
+		push(ctx, t.Elem, t.base, t.Port, pk)
 		return
 	}
 	ctx.Drop(pk)
@@ -205,7 +230,7 @@ type Router struct {
 	cfg      *clicklang.Config
 	elements map[string]Element
 	order    []Element
-	sources  []Element // FromNetfront-class entry points, in decl order
+	sources  []Target // FromNetfront-class entry points, in decl order
 	tickers  []Ticker
 }
 
@@ -230,7 +255,7 @@ func Build(cfg *clicklang.Config) (*Router, error) {
 		r.elements[d.Name] = el
 		r.order = append(r.order, el)
 		if inj, ok := el.(Injector); ok && inj.InjectionPoint() {
-			r.sources = append(r.sources, el)
+			r.sources = append(r.sources, Target{Elem: el, base: el.Wiring()})
 		}
 		if t, ok := el.(Ticker); ok {
 			r.tickers = append(r.tickers, t)
@@ -292,7 +317,7 @@ func (r *Router) Inject(ctx *Context, i int, p *packet.Packet) error {
 	if i < 0 || i >= len(r.sources) {
 		return fmt.Errorf("click: no injection point %d (have %d)", i, len(r.sources))
 	}
-	r.sources[i].Push(ctx, 0, p)
+	push(ctx, r.sources[i].Elem, r.sources[i].base, 0, p)
 	return nil
 }
 

@@ -175,3 +175,24 @@ func TestBaseSetOutputErrors(t *testing.T) {
 		t.Error("negative port accepted")
 	}
 }
+
+func TestVerdictEncoding(t *testing.T) {
+	for r, name := range click.DropReasonNames() {
+		v := click.Drop(click.DropReason(r))
+		if v >= 0 || v == click.Held || v.IsTx() || v.Reason() != click.DropReason(r) || v.String() != "drop:"+name {
+			t.Errorf("Drop(%s) = %d: reason %v, string %q", name, v, v.Reason(), v.String())
+		}
+	}
+	for _, iface := range []int{0, 1, 9, 255} {
+		v := click.Tx(iface)
+		if !v.IsTx() || v.Iface() != iface {
+			t.Errorf("Tx(%d) = %d: IsTx %v, Iface %d", iface, v, v.IsTx(), v.Iface())
+		}
+	}
+	if click.Tx(2).String() != "tx:2" || click.Held.String() != "queued" || click.Verdict(3).String() != "forward" {
+		t.Errorf("verdict strings: %q %q %q", click.Tx(2), click.Held, click.Verdict(3))
+	}
+	if click.Held.IsTx() {
+		t.Error("Held must not read as Tx")
+	}
+}

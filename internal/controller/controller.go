@@ -283,11 +283,6 @@ type Options struct {
 	// (entries; 0 = symexec.DefaultMemoEntries, negative = disabled).
 	// Structurally shared sub-chains across tenants verify once.
 	ElementMemo int
-	// PipelineWorkers is the run-to-completion worker count dataplanes
-	// should use for compiled modules (0 = single worker). The
-	// controller only records and reports it; the hosting dataplane
-	// (innetd's simulator, innet-bench) sizes its engines from it.
-	PipelineWorkers int
 	// WholesaleInvalidation reverts placement/query cache entries to
 	// the legacy epoch-tagged discipline where ANY topology mutation
 	// (deploy, kill, outage) invalidates every placement-dependent
@@ -1063,9 +1058,8 @@ func (c *Controller) Deployments() []*Deployment {
 // PipelineStats summarizes the dataplane mode across live
 // deployments: how many flatten into the compiled pipeline, how many
 // fall back to the graph walk, and the fallback reasons (reason ->
-// count). Workers echoes Options.PipelineWorkers.
+// count).
 type PipelineStats struct {
-	Workers  int            `json:"workers"`
 	Compiled int            `json:"compiled"`
 	Fallback int            `json:"fallback"`
 	Reasons  map[string]int `json:"reasons,omitempty"`
@@ -1079,7 +1073,7 @@ type PipelineStats struct {
 func (c *Controller) PipelineStatsSnapshot() PipelineStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := PipelineStats{Workers: c.opts.PipelineWorkers}
+	var st PipelineStats
 	for _, d := range c.deployments {
 		if st.Modules == nil {
 			st.Modules = make(map[string]string)

@@ -18,8 +18,9 @@ func (s *sink) Class() string                 { return "testSink" }
 func (s *sink) Configure(args []string) error { return nil }
 func (s *sink) InPorts() int                  { return click.AnyPorts }
 func (s *sink) OutPorts() int                 { return 0 }
-func (s *sink) Push(ctx *click.Context, port int, p *packet.Packet) {
+func (s *sink) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	s.got = append(s.got, p)
+	return click.Held
 }
 
 func testCtx() (*click.Context, *int64, *int) {
@@ -63,8 +64,8 @@ func TestIPFilterRuntime(t *testing.T) {
 	configure(t, f, "allow udp port 1500", "deny all")
 	out := wire(t, f, 0)
 	ctx, _, drops := testCtx()
-	f.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 1500))
-	f.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 99))
+	click.Push(ctx, f, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 1500))
+	click.Push(ctx, f, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 99))
 	if len(out.got) != 1 || *drops != 1 || f.Dropped != 1 {
 		t.Errorf("out=%d drops=%d", len(out.got), *drops)
 	}
@@ -72,7 +73,7 @@ func TestIPFilterRuntime(t *testing.T) {
 	f2 := &IPFilter{}
 	configure(t, f2, "allow tcp")
 	wire(t, f2, 0)
-	f2.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 5))
+	click.Push(ctx, f2, 0, udpPkt("1.1.1.1", "2.2.2.2", 5, 5))
 	if f2.Dropped != 1 {
 		t.Error("unmatched packet should drop")
 	}
@@ -85,7 +86,7 @@ func TestIPFilterRuleOrder(t *testing.T) {
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 80)
 	p.Protocol = packet.ProtoTCP
-	f.Push(ctx, 0, p) // denied by first rule despite being tcp
+	click.Push(ctx, f, 0, p) // denied by first rule despite being tcp
 	if len(out.got) != 0 {
 		t.Error("first-match semantics violated")
 	}
@@ -130,13 +131,13 @@ func TestIPClassifierRuntimeAndSym(t *testing.T) {
 	tc := wire(t, c, 1)
 	rest := wire(t, c, 2)
 	ctx, _, _ := testCtx()
-	c.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, c, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p.Protocol = packet.ProtoTCP
-	c.Push(ctx, 0, p)
+	click.Push(ctx, c, 0, p)
 	p2 := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p2.Protocol = packet.ProtoICMP
-	c.Push(ctx, 0, p2)
+	click.Push(ctx, c, 0, p2)
 	if len(u.got) != 1 || len(tc.got) != 1 || len(rest.got) != 1 {
 		t.Errorf("classified %d/%d/%d", len(u.got), len(tc.got), len(rest.got))
 	}
@@ -174,10 +175,10 @@ func TestDPIRuntimeAndSym(t *testing.T) {
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p.Payload = []byte("normal traffic")
-	d.Push(ctx, 0, p)
+	click.Push(ctx, d, 0, p)
 	p2 := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p2.Payload = []byte("an attack payload")
-	d.Push(ctx, 0, p2)
+	click.Push(ctx, d, 0, p2)
 	if len(clean.got) != 1 || len(bad.got) != 1 || d.Hits != 1 {
 		t.Errorf("clean=%d bad=%d hits=%d", len(clean.got), len(bad.got), d.Hits)
 	}
@@ -192,7 +193,7 @@ func TestDPIRuntimeAndSym(t *testing.T) {
 	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { *drops++ }}
 	p3 := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p3.Payload = []byte("xx")
-	d2.Push(ctx2, 0, p3)
+	click.Push(ctx2, d2, 0, p3)
 	if *drops != 1 {
 		t.Error("matched packet with unwired port 1 should drop")
 	}
@@ -204,7 +205,7 @@ func TestIPRewriterForwardAndReverse(t *testing.T) {
 	out := wire(t, rw, 0)
 	ctx, _, _ := testCtx()
 	p := udpPkt("8.8.8.8", "198.51.100.7", 4444, 1500)
-	rw.Push(ctx, 0, p)
+	click.Push(ctx, rw, 0, p)
 	if len(out.got) != 1 {
 		t.Fatal("no forward output")
 	}
@@ -221,7 +222,7 @@ func TestIPRewriterForwardAndReverse(t *testing.T) {
 		DstIP:    packet.MustParseIP("8.8.8.8"),
 		SrcPort:  1500, DstPort: 4444, TTL: 64,
 	}
-	rw.Push(ctx, 1, reply)
+	click.Push(ctx, rw, 1, reply)
 	if len(out.got) != 2 {
 		t.Fatal("no reverse output")
 	}
@@ -232,7 +233,7 @@ func TestIPRewriterForwardAndReverse(t *testing.T) {
 	stray := udpPkt("9.9.9.9", "8.8.8.8", 1, 2)
 	_, _, drops := testCtx()
 	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { *drops++ }}
-	rw.Push(ctx2, 1, stray)
+	click.Push(ctx2, rw, 1, stray)
 	if *drops != 1 {
 		t.Error("stray reply should drop")
 	}
@@ -289,11 +290,11 @@ func TestDecIPTTL(t *testing.T) {
 	ctx, _, drops := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p.TTL = 2
-	d.Push(ctx, 0, p)
+	click.Push(ctx, d, 0, p)
 	if p.TTL != 1 || len(out.got) != 1 {
 		t.Errorf("ttl = %d", p.TTL)
 	}
-	d.Push(ctx, 0, p) // now TTL 1 -> expired
+	click.Push(ctx, d, 0, p) // now TTL 1 -> expired
 	if *drops != 1 || d.Expired != 1 {
 		t.Error("expired packet not dropped")
 	}
@@ -323,9 +324,9 @@ func TestLookupIPRoute(t *testing.T) {
 	o1 := wire(t, r, 1)
 	o2 := wire(t, r, 2)
 	ctx, _, _ := testCtx()
-	r.Push(ctx, 0, udpPkt("9.9.9.9", "10.2.3.4", 1, 2))   // /8
-	r.Push(ctx, 0, udpPkt("9.9.9.9", "10.1.3.4", 1, 2))   // /16 (longest)
-	r.Push(ctx, 0, udpPkt("9.9.9.9", "192.0.2.19", 1, 2)) // default
+	click.Push(ctx, r, 0, udpPkt("9.9.9.9", "10.2.3.4", 1, 2))   // /8
+	click.Push(ctx, r, 0, udpPkt("9.9.9.9", "10.1.3.4", 1, 2))   // /16 (longest)
+	click.Push(ctx, r, 0, udpPkt("9.9.9.9", "192.0.2.19", 1, 2)) // default
 	if len(o0.got) != 1 || len(o1.got) != 1 || len(o2.got) != 1 {
 		t.Errorf("routed %d/%d/%d", len(o0.got), len(o1.got), len(o2.got))
 	}
@@ -353,28 +354,28 @@ func TestStatefulFirewall(t *testing.T) {
 	// TCP outbound violates policy.
 	p := udpPkt("10.0.0.1", "8.8.8.8", 1111, 53)
 	p.Protocol = packet.ProtoTCP
-	fw.Push(ctx, 0, p)
+	click.Push(ctx, fw, 0, p)
 	if *drops != 1 {
 		t.Error("tcp outbound should drop")
 	}
 	// UDP outbound passes and records the flow.
-	fw.Push(ctx, 0, udpPkt("10.0.0.1", "8.8.8.8", 1111, 53))
+	click.Push(ctx, fw, 0, udpPkt("10.0.0.1", "8.8.8.8", 1111, 53))
 	if len(outb.got) != 1 || fw.ActiveFlows() != 1 {
 		t.Error("udp outbound")
 	}
 	// Related response passes.
-	fw.Push(ctx, 1, udpPkt("8.8.8.8", "10.0.0.1", 53, 1111))
+	click.Push(ctx, fw, 1, udpPkt("8.8.8.8", "10.0.0.1", 53, 1111))
 	if len(inb.got) != 1 {
 		t.Error("related response blocked")
 	}
 	// Unrelated inbound drops.
-	fw.Push(ctx, 1, udpPkt("9.9.9.9", "10.0.0.1", 53, 1111))
+	click.Push(ctx, fw, 1, udpPkt("9.9.9.9", "10.0.0.1", 53, 1111))
 	if len(inb.got) != 1 {
 		t.Error("unrelated inbound passed")
 	}
 	// Timeout expiry revokes authorization.
 	*now += int64(31 * 1e9)
-	fw.Push(ctx, 1, udpPkt("8.8.8.8", "10.0.0.1", 53, 1111))
+	click.Push(ctx, fw, 1, udpPkt("8.8.8.8", "10.0.0.1", 53, 1111))
 	if len(inb.got) != 1 {
 		t.Error("expired flow passed")
 	}
@@ -410,9 +411,9 @@ func TestFlowMeter(t *testing.T) {
 	out := wire(t, m, 0)
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 10, 20)
-	m.Push(ctx, 0, p)
-	m.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 10, 20))
-	m.Push(ctx, 0, udpPkt("3.3.3.3", "2.2.2.2", 10, 20))
+	click.Push(ctx, m, 0, p)
+	click.Push(ctx, m, 0, udpPkt("1.1.1.1", "2.2.2.2", 10, 20))
+	click.Push(ctx, m, 0, udpPkt("3.3.3.3", "2.2.2.2", 10, 20))
 	if m.Flows() != 2 || len(out.got) != 3 {
 		t.Errorf("flows = %d out = %d", m.Flows(), len(out.got))
 	}
@@ -433,28 +434,28 @@ func TestChangeEnforcer(t *testing.T) {
 	ctx, now, _ := testCtx()
 
 	// Outside -> module always passes and authorizes the source.
-	ce.Push(ctx, 0, udpPkt("8.8.8.8", "172.16.0.5", 1000, 2000))
+	click.Push(ctx, ce, 0, udpPkt("8.8.8.8", "172.16.0.5", 1000, 2000))
 	if len(toModule.got) != 1 {
 		t.Fatal("inbound blocked")
 	}
 	// Module -> authorized destination passes.
-	ce.Push(ctx, 1, udpPkt("172.16.0.5", "8.8.8.8", 2000, 1000))
+	click.Push(ctx, ce, 1, udpPkt("172.16.0.5", "8.8.8.8", 2000, 1000))
 	if len(toWorld.got) != 1 {
 		t.Error("implicitly authorized reply blocked")
 	}
 	// Module -> whitelisted destination passes.
-	ce.Push(ctx, 1, udpPkt("172.16.0.5", "192.0.2.1", 1, 2))
+	click.Push(ctx, ce, 1, udpPkt("172.16.0.5", "192.0.2.1", 1, 2))
 	if len(toWorld.got) != 2 {
 		t.Error("whitelisted destination blocked")
 	}
 	// Module -> anything else drops.
-	ce.Push(ctx, 1, udpPkt("172.16.0.5", "203.0.113.77", 1, 2))
+	click.Push(ctx, ce, 1, udpPkt("172.16.0.5", "203.0.113.77", 1, 2))
 	if len(toWorld.got) != 2 || ce.Blocked != 1 {
 		t.Error("unauthorized destination passed")
 	}
 	// Authorization expires.
 	*now += int64(61 * 1e9)
-	ce.Push(ctx, 1, udpPkt("172.16.0.5", "8.8.8.8", 2000, 1000))
+	click.Push(ctx, ce, 1, udpPkt("172.16.0.5", "8.8.8.8", 2000, 1000))
 	if len(toWorld.got) != 2 {
 		t.Error("expired authorization honored")
 	}
@@ -502,7 +503,7 @@ func TestTunnelEncapDecapRoundTrip(t *testing.T) {
 
 	orig := udpPkt("172.16.0.5", "8.8.8.8", 1234, 53)
 	inner := orig.Clone()
-	enc.Push(ctx, 0, inner)
+	click.Push(ctx, enc, 0, inner)
 	if len(encOut.got) != 1 {
 		t.Fatal("no encap output")
 	}
@@ -510,7 +511,7 @@ func TestTunnelEncapDecapRoundTrip(t *testing.T) {
 	if outer.DstIP != packet.MustParseIP("192.0.2.9") || outer.Protocol != packet.ProtoUDP {
 		t.Errorf("outer headers: %v", outer)
 	}
-	dec.Push(ctx, 0, outer)
+	click.Push(ctx, dec, 0, outer)
 	if len(decOut.got) != 1 {
 		t.Fatal("no decap output")
 	}
@@ -531,7 +532,7 @@ func TestIPDecapMalformed(t *testing.T) {
 	ctx, _, drops := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p.Payload = []byte{0xde, 0xad}
-	dec.Push(ctx, 0, p)
+	click.Push(ctx, dec, 0, p)
 	if *drops != 1 || dec.Malformed != 1 {
 		t.Error("malformed inner packet not dropped")
 	}
@@ -568,7 +569,7 @@ func TestTeeDuplicates(t *testing.T) {
 	o2 := wire(t, te, 2)
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
-	te.Push(ctx, 0, p)
+	click.Push(ctx, te, 0, p)
 	if len(o0.got) != 1 || len(o1.got) != 1 || len(o2.got) != 1 {
 		t.Error("tee fanout")
 	}
@@ -590,13 +591,13 @@ func TestPaintAndCheckPaint(t *testing.T) {
 	rest := wire(t, cp, 1)
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
-	pa.Push(ctx, 0, p)
+	click.Push(ctx, pa, 0, p)
 	if p.Paint != 7 || len(paOut.got) != 1 {
 		t.Error("paint")
 	}
-	cp.Push(ctx, 0, p)
+	click.Push(ctx, cp, 0, p)
 	q := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
-	cp.Push(ctx, 0, q)
+	click.Push(ctx, cp, 0, q)
 	if len(match.got) != 1 || len(rest.got) != 1 {
 		t.Error("checkpaint branch")
 	}
@@ -618,8 +619,8 @@ func TestSetIPFields(t *testing.T) {
 	wire(t, sd, 0)
 	ctx, _, _ := testCtx()
 	p := udpPkt("5.5.5.5", "6.6.6.6", 1, 2)
-	ss.Push(ctx, 0, p)
-	sd.Push(ctx, 0, p)
+	click.Push(ctx, ss, 0, p)
+	click.Push(ctx, sd, 0, p)
 	if packet.IPString(p.SrcIP) != "10.9.8.7" || packet.IPString(p.DstIP) != "1.2.3.4" {
 		t.Errorf("set fields: %v", p)
 	}
@@ -641,9 +642,9 @@ func TestQueueAndTick(t *testing.T) {
 	configure(t, q, "2")
 	out := wire(t, q, 0)
 	ctx, _, drops := testCtx()
-	q.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
-	q.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 3))
-	q.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 4)) // overflow
+	click.Push(ctx, q, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, q, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 3))
+	click.Push(ctx, q, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 4)) // overflow
 	if q.Len() != 2 || *drops != 1 || q.Drops != 1 {
 		t.Errorf("len=%d drops=%d", q.Len(), *drops)
 	}
@@ -662,7 +663,7 @@ func TestTimedUnqueueBatching(t *testing.T) {
 	out := wire(t, tu, 0)
 	ctx, now, _ := testCtx()
 	for i := 0; i < 5; i++ {
-		tu.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, tu, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	if d := tu.Tick(ctx); d != 120*1e9 {
 		t.Errorf("tick delay = %d", d)
@@ -686,7 +687,7 @@ func TestTimedUnqueueBurstLimit(t *testing.T) {
 	out := wire(t, tu, 0)
 	ctx, now, _ := testCtx()
 	for i := 0; i < 5; i++ {
-		tu.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, tu, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	*now += 1e9
 	tu.Tick(ctx)
@@ -708,7 +709,7 @@ func TestRatedUnqueue(t *testing.T) {
 	out := wire(t, ru, 0)
 	ctx, now, _ := testCtx()
 	for i := 0; i < 3; i++ {
-		ru.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, ru, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	ru.Tick(ctx) // releases first immediately
 	if len(out.got) != 1 {
@@ -727,13 +728,13 @@ func TestRateLimiterPolices(t *testing.T) {
 	out := wire(t, rl, 0)
 	ctx, now, _ := testCtx()
 	for i := 0; i < 5; i++ {
-		rl.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, rl, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	if len(out.got) != 2 || rl.Dropped != 3 {
 		t.Errorf("burst pass = %d dropped = %d", len(out.got), rl.Dropped)
 	}
 	*now += 1e9 // refill 10 tokens, capped at 2
-	rl.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 99))
+	click.Push(ctx, rl, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 99))
 	if len(out.got) != 3 {
 		t.Error("refill failed")
 	}
@@ -745,9 +746,9 @@ func TestBandwidthShaperBytes(t *testing.T) {
 	out := wire(t, bs, 0)
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2) // 28 + 7 = 35 bytes
-	bs.Push(ctx, 0, p)
-	bs.Push(ctx, 0, p.Clone())
-	bs.Push(ctx, 0, p.Clone()) // 105 bytes total > 100
+	click.Push(ctx, bs, 0, p)
+	click.Push(ctx, bs, 0, p.Clone())
+	click.Push(ctx, bs, 0, p.Clone()) // 105 bytes total > 100
 	if len(out.got) != 2 || bs.Dropped != 1 {
 		t.Errorf("passed = %d dropped = %d", len(out.got), bs.Dropped)
 	}
@@ -767,9 +768,9 @@ func TestCounterDiscardCRC(t *testing.T) {
 	crcOut := wire(t, crc, 0)
 	ctx, _, drops := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
-	c.Push(ctx, 0, p)
-	crc.Push(ctx, 0, p)
-	d.Push(ctx, 0, p)
+	click.Push(ctx, c, 0, p)
+	click.Push(ctx, crc, 0, p)
+	click.Push(ctx, d, 0, p)
 	if c.Packets != 1 || len(cOut.got) != 1 {
 		t.Error("counter")
 	}
@@ -786,10 +787,10 @@ func TestCheckIPHeader(t *testing.T) {
 	configure(t, ch)
 	good := wire(t, ch, 0)
 	ctx, _, drops := testCtx()
-	ch.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, ch, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	bad := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	bad.TTL = 0
-	ch.Push(ctx, 0, bad)
+	click.Push(ctx, ch, 0, bad)
 	if len(good.got) != 1 || *drops != 1 || ch.Drops != 1 {
 		t.Error("checkipheader")
 	}

@@ -82,30 +82,18 @@ func (e *IPFilter) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *IPFilter) OutPorts() int { return 1 }
 
-// Decide applies the rule list to one packet: true means forward,
-// false means drop (the drop is counted). It is the single source of
-// truth shared by Push and the compiled pipeline kernel.
-func (e *IPFilter) Decide(p *packet.Packet) bool {
+// Step implements click.Element: the first matching rule decides.
+func (e *IPFilter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	for i := range e.rules {
 		if e.rules[i].spec.Match(p) {
 			if e.rules[i].allow {
-				return true
+				return 0
 			}
-			e.Dropped++
-			return false
+			break
 		}
 	}
 	e.Dropped++
-	return false
-}
-
-// Push implements click.Element.
-func (e *IPFilter) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if e.Decide(p) {
-		e.Out(ctx, 0, p)
-		return
-	}
-	ctx.Drop(p)
+	return click.Drop(click.DropFilter)
 }
 
 // Sym implements symexec.Model: each rule splits the incoming flow
@@ -188,26 +176,15 @@ func (e *IPClassifier) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *IPClassifier) OutPorts() int { return len(e.patterns) }
 
-// Route returns the output port for p (counting the match) or -1 when
-// no pattern matches and the packet should be dropped. Shared by Push
-// and the compiled pipeline kernel.
-func (e *IPClassifier) Route(p *packet.Packet) int {
+// Step implements click.Element.
+func (e *IPClassifier) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	for i, spec := range e.patterns {
 		if spec.Match(p) {
 			e.Matched[i]++
-			return i
+			return click.Verdict(i)
 		}
 	}
-	return -1
-}
-
-// Push implements click.Element.
-func (e *IPClassifier) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if i := e.Route(p); i >= 0 {
-		e.Out(ctx, i, p)
-		return
-	}
-	ctx.Drop(p)
+	return click.Drop(click.DropNoRoute)
 }
 
 // Sym implements symexec.Model.
@@ -264,27 +241,13 @@ func (e *DPI) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *DPI) OutPorts() int { return 2 }
 
-// Inspect reports whether the payload carries the pattern, counting a
-// hit when it does. Shared by Push and the compiled pipeline kernel.
-func (e *DPI) Inspect(p *packet.Packet) bool {
+// Step implements click.Element.
+func (e *DPI) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if bytes.Contains(p.Payload, e.Pattern) {
 		e.Hits++
-		return true
+		return 1
 	}
-	return false
-}
-
-// Push implements click.Element.
-func (e *DPI) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if e.Inspect(p) {
-		if e.Connected(1) {
-			e.Out(ctx, 1, p)
-		} else {
-			ctx.Drop(p)
-		}
-		return
-	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: payload contents are opaque to the

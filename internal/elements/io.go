@@ -3,9 +3,13 @@
 // elements"; we implement the set the paper's configurations and
 // evaluation exercise, plus supporting classes).
 //
-// Every element provides both a runtime implementation (Push) and a
+// Every element provides both a runtime implementation (Step) and a
 // symbolic model (Sym) so that the exact same configured instance is
-// used by the dataplane and by the controller's static checking.
+// used by the dataplane and by the controller's static checking. Step
+// is the class's only per-packet code: the graph walk (click.Push) and
+// the compiled pipeline (pipeline.Exec) both drive it. The few classes
+// that also move packets outside Step — on a tick, a pull or a wake-up —
+// are listed with their reasons in outsideStep (step_test.go).
 package elements
 
 import (
@@ -70,9 +74,9 @@ func (e *FromNetfront) OutPorts() int { return 1 }
 // InjectionPoint marks this element as a module entry.
 func (e *FromNetfront) InjectionPoint() bool { return true }
 
-// Push implements click.Element.
-func (e *FromNetfront) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Out(ctx, 0, p)
+// Step implements click.Element.
+func (e *FromNetfront) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -114,14 +118,10 @@ func (e *ToNetfront) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *ToNetfront) OutPorts() int { return 0 }
 
-// Push implements click.Element.
-func (e *ToNetfront) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *ToNetfront) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.TxCount++
-	if ctx.Transmit != nil {
-		ctx.Transmit(e.Iface, p)
-		return
-	}
-	ctx.Drop(p)
+	return click.Tx(e.Iface)
 }
 
 // Sym implements symexec.Model: flows exit the module here, so the
@@ -154,10 +154,10 @@ func (e *Discard) InPorts() int { return click.AnyPorts }
 // OutPorts implements click.Element.
 func (e *Discard) OutPorts() int { return 0 }
 
-// Push implements click.Element.
-func (e *Discard) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *Discard) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.Count++
-	ctx.Drop(p)
+	return click.Drop(click.DropDiscard)
 }
 
 // Sym implements symexec.Model.
@@ -187,11 +187,11 @@ func (e *Counter) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *Counter) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *Counter) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *Counter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.Packets++
 	e.Bytes += uint64(p.Len())
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -231,14 +231,15 @@ func (e *Tee) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *Tee) OutPorts() int { return e.N }
 
-// Push implements click.Element.
-func (e *Tee) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element: copies leave on ports 1..N-1 first,
+// then the original continues on port 0.
+func (e *Tee) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	for i := 1; i < e.N; i++ {
 		if e.Connected(i) {
-			e.Out(ctx, i, p.Clone())
+			env.Emit(e, i, p.Clone())
 		}
 	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -282,10 +283,10 @@ func (e *Paint) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *Paint) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *Paint) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *Paint) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	p.Paint = e.Color
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -323,13 +324,12 @@ func (e *CheckPaint) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *CheckPaint) OutPorts() int { return 2 }
 
-// Push implements click.Element.
-func (e *CheckPaint) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *CheckPaint) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if p.Paint == e.Color {
-		e.Out(ctx, 0, p)
-		return
+		return 0
 	}
-	e.Out(ctx, 1, p)
+	return 1
 }
 
 // Sym implements symexec.Model.
@@ -380,14 +380,14 @@ func (e *SetIPField) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *SetIPField) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *SetIPField) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *SetIPField) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if e.field == symexec.FieldSrcIP {
 		p.SrcIP = e.Addr
 	} else {
 		p.DstIP = e.Addr
 	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -424,10 +424,10 @@ func (e *SetTOS) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *SetTOS) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *SetTOS) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *SetTOS) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	p.TOS = e.TOS
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -462,11 +462,11 @@ func (e *SetCRC32) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *SetCRC32) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *SetCRC32) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *SetCRC32) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.Last = crc32.ChecksumIEEE(p.Payload)
 	p.FlowTag = e.Last
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: the payload itself is unchanged.
@@ -493,18 +493,13 @@ func (e *CheckIPHeader) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *CheckIPHeader) OutPorts() int { return 2 }
 
-// Push implements click.Element.
-func (e *CheckIPHeader) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *CheckIPHeader) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if p.TTL == 0 || p.SrcIP == 0 || p.DstIP == 0 {
 		e.Drops++
-		if e.Connected(1) {
-			e.Out(ctx, 1, p)
-		} else {
-			ctx.Drop(p)
-		}
-		return
+		return 1
 	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.

@@ -38,11 +38,11 @@ func (e *IPMirror) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *IPMirror) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *IPMirror) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *IPMirror) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	p.SrcIP, p.DstIP = p.DstIP, p.SrcIP
 	p.SrcPort, p.DstPort = p.DstPort, p.SrcPort
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: the swap is the exact aliasing trick

@@ -57,27 +57,20 @@ func (e *Queue) OutPorts() int { return 1 }
 // Len returns the number of buffered packets.
 func (e *Queue) Len() int { return len(e.buf) }
 
-// Enqueue buffers one packet, returning false on overflow (counted;
-// the packet should be dropped). Shared by Push and the compiled
-// pipeline kernel — the pipeline never compiles pull-path wiring, so
-// the kick stays in Push.
-func (e *Queue) Enqueue(p *packet.Packet) bool {
+// Step implements click.Element: overflowing packets are counted and
+// dropped.
+func (e *Queue) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if len(e.buf) >= e.Capacity {
 		e.Drops++
-		return false
+		return click.Drop(click.DropOverflow)
 	}
 	e.buf = append(e.buf, p)
-	return true
+	return click.Held
 }
 
-// Push implements click.Element.
-func (e *Queue) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if !e.Enqueue(p) {
-		ctx.Drop(p)
-		return
-	}
-	// Wake a pull-side consumer, if one claimed this queue (the
-	// notifier of Click's pull path).
+// Wake implements click.Waker: wake a pull-side consumer, if one
+// claimed this queue (the notifier of Click's pull path).
+func (e *Queue) Wake(ctx *click.Context) {
 	if k, ok := e.downstream().(kicker); ok {
 		k.Kick(ctx)
 	}
@@ -169,18 +162,14 @@ func (e *TimedUnqueue) OutPorts() int { return 1 }
 // Pending returns the number of buffered packets.
 func (e *TimedUnqueue) Pending() int { return len(e.buf) }
 
-// Enqueue buffers one packet at time now, scheduling the release
-// interval if idle. Shared by Push and the compiled pipeline kernel.
-func (e *TimedUnqueue) Enqueue(now int64, p *packet.Packet) {
+// Step implements click.Element: buffer the packet, scheduling the
+// release interval if idle.
+func (e *TimedUnqueue) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.buf = append(e.buf, p)
 	if e.next == 0 {
-		e.next = now + e.IntervalNS
+		e.next = env.Now() + e.IntervalNS
 	}
-}
-
-// Push implements click.Element.
-func (e *TimedUnqueue) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Enqueue(ctx.Now(), p)
+	return click.Held
 }
 
 // Tick implements click.Ticker: release a batch when the interval
@@ -250,18 +239,13 @@ func (e *RatedUnqueue) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *RatedUnqueue) OutPorts() int { return 1 }
 
-// Enqueue buffers one packet at time now. Shared by Push and the
-// compiled pipeline kernel.
-func (e *RatedUnqueue) Enqueue(now int64, p *packet.Packet) {
+// Step implements click.Element.
+func (e *RatedUnqueue) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.buf = append(e.buf, p)
 	if e.next == 0 {
-		e.next = now
+		e.next = env.Now()
 	}
-}
-
-// Push implements click.Element.
-func (e *RatedUnqueue) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Enqueue(ctx.Now(), p)
+	return click.Held
 }
 
 // Tick implements click.Ticker.
@@ -342,10 +326,10 @@ func (e *RateLimiter) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *RateLimiter) OutPorts() int { return 1 }
 
-// Admit charges one packet against the token bucket at time now,
-// returning false when it is over rate (counted; the packet should be
-// dropped). Shared by Push and the compiled pipeline kernel.
-func (e *RateLimiter) Admit(now int64, p *packet.Packet) bool {
+// Step implements click.Element: charge one packet against the token
+// bucket; over-rate packets are counted and dropped.
+func (e *RateLimiter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	now := env.Now()
 	if e.started {
 		e.tokens += float64(now-e.last) / 1e9 * e.Rate
 		if e.tokens > e.BurstTokens {
@@ -360,19 +344,10 @@ func (e *RateLimiter) Admit(now int64, p *packet.Packet) bool {
 	}
 	if e.tokens < cost {
 		e.Dropped++
-		return false
+		return click.Drop(click.DropFilter)
 	}
 	e.tokens -= cost
-	return true
-}
-
-// Push implements click.Element.
-func (e *RateLimiter) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if !e.Admit(ctx.Now(), p) {
-		ctx.Drop(p)
-		return
-	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: policing drops or forwards unchanged;

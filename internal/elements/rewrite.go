@@ -116,20 +116,18 @@ func (e *IPRewriter) InPorts() int { return 2 }
 // OutPorts implements click.Element.
 func (e *IPRewriter) OutPorts() int { return e.maxOut + 1 }
 
-// Rewrite applies the NAT to one packet arriving on the given input
-// port, returning the output port and whether the packet survives
-// (reply packets with no recorded mapping are dropped). Shared by
-// Push and the compiled pipeline kernel.
-func (e *IPRewriter) Rewrite(port int, p *packet.Packet) (int, bool) {
+// Step implements click.Element: reply packets with no recorded
+// mapping are dropped.
+func (e *IPRewriter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if port == 1 {
 		// Reply direction: restore the recorded original tuple.
 		orig, ok := e.mappings[p.Tuple()]
 		if !ok {
-			return 0, false
+			return click.Drop(click.DropNoRoute)
 		}
 		p.SrcIP, p.DstIP = orig.DstIP, orig.SrcIP
 		p.SrcPort, p.DstPort = orig.DstPort, orig.SrcPort
-		return e.patterns[0].revOut, true
+		return click.Verdict(e.patterns[0].revOut)
 	}
 	pat := e.patterns[0]
 	orig := p.Tuple()
@@ -146,17 +144,7 @@ func (e *IPRewriter) Rewrite(port int, p *packet.Packet) (int, bool) {
 		p.DstPort = *pat.dstPort
 	}
 	e.mappings[p.Tuple().Reverse()] = orig
-	return pat.fwdOut, true
-}
-
-// Push implements click.Element.
-func (e *IPRewriter) Push(ctx *click.Context, port int, p *packet.Packet) {
-	out, ok := e.Rewrite(port, p)
-	if !ok {
-		ctx.Drop(p)
-		return
-	}
-	e.Out(ctx, out, p)
+	return click.Verdict(pat.fwdOut)
 }
 
 // Sym implements symexec.Model. The forward direction assigns the
@@ -214,19 +202,14 @@ func (e *DecIPTTL) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *DecIPTTL) OutPorts() int { return 2 }
 
-// Push implements click.Element.
-func (e *DecIPTTL) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *DecIPTTL) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if p.TTL <= 1 {
 		e.Expired++
-		if e.Connected(1) {
-			e.Out(ctx, 1, p)
-		} else {
-			ctx.Drop(p)
-		}
-		return
+		return 1
 	}
 	p.TTL--
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: the live branch gets a fresh TTL
@@ -306,26 +289,16 @@ func (e *LookupIPRoute) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *LookupIPRoute) OutPorts() int { return e.maxOut + 1 }
 
-// Lookup returns the LPM output port for the destination, or -1 on a
-// routing miss (counted; the packet should be dropped). Shared by
-// Push and the compiled pipeline kernel.
-func (e *LookupIPRoute) Lookup(p *packet.Packet) int {
+// Step implements click.Element: routing misses are counted and
+// dropped.
+func (e *LookupIPRoute) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	for _, r := range e.routes {
 		if r.prefix.Contains(p.DstIP) {
-			return r.port
+			return click.Verdict(r.port)
 		}
 	}
 	e.Misses++
-	return -1
-}
-
-// Push implements click.Element.
-func (e *LookupIPRoute) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if out := e.Lookup(p); out >= 0 {
-		e.Out(ctx, out, p)
-		return
-	}
-	ctx.Drop(p)
+	return click.Drop(click.DropNoRoute)
 }
 
 // Sym implements symexec.Model: LPM splits the flow per route, with

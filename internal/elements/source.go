@@ -59,9 +59,9 @@ func (e *TimedSource) InPorts() int { return 0 }
 // OutPorts implements click.Element.
 func (e *TimedSource) OutPorts() int { return 1 }
 
-// Push implements click.Element (sources take no input).
-func (e *TimedSource) Push(ctx *click.Context, port int, p *packet.Packet) {
-	ctx.Drop(p)
+// Step implements click.Element (sources take no input).
+func (e *TimedSource) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	return click.Drop(click.DropDiscard)
 }
 
 // Tick implements click.Ticker: emit when due.
@@ -138,10 +138,10 @@ func (e *Meter) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *Meter) OutPorts() int { return 2 }
 
-// Classify charges the token bucket at time now and returns the
-// output port: 0 under rate, 1 over rate (counted). Shared by Push
-// and the compiled pipeline kernel.
-func (e *Meter) Classify(now int64, p *packet.Packet) int {
+// Step implements click.Element: charge the token bucket and leave on
+// port 0 under rate, port 1 over rate (counted).
+func (e *Meter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	now := env.Now()
 	if e.started {
 		e.tokens += float64(now-e.last) / 1e9 * e.PPS
 		if e.tokens > e.PPS {
@@ -156,11 +156,6 @@ func (e *Meter) Classify(now int64, p *packet.Packet) int {
 	}
 	e.Over++
 	return 1
-}
-
-// Push implements click.Element.
-func (e *Meter) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Out(ctx, e.Classify(ctx.Now(), p), p)
 }
 
 // Sym implements symexec.Model: rate is a runtime property, so the
@@ -210,20 +205,15 @@ func (e *RandomSample) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *RandomSample) OutPorts() int { return 2 }
 
-// Push implements click.Element.
-func (e *RandomSample) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *RandomSample) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	e.lcg = e.lcg*6364136223846793005 + 1442695040888963407
 	u := float64(e.lcg>>11) / float64(1<<53)
 	if u < e.P {
 		e.Sampled++
-		e.Out(ctx, 0, p)
-		return
+		return 0
 	}
-	if e.Connected(1) {
-		e.Out(ctx, 1, p)
-		return
-	}
-	ctx.Drop(p)
+	return 1
 }
 
 // Sym implements symexec.Model: a may-branch.

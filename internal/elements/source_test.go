@@ -33,7 +33,7 @@ func TestTimedSourceEmits(t *testing.T) {
 	// A pushed packet is swallowed (sources have no inputs).
 	drops := 0
 	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
-	ts.Push(ctx2, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx2, ts, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("pushed packet not dropped")
 	}
@@ -123,13 +123,13 @@ func TestMeter(t *testing.T) {
 	over := wire(t, m, 1)
 	ctx, now, _ := testCtx()
 	for i := 0; i < 5; i++ {
-		m.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, m, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	if len(under.got) != 2 || len(over.got) != 3 || m.Over != 3 {
 		t.Errorf("under=%d over=%d", len(under.got), len(over.got))
 	}
 	*now += 1e9 // refill
-	m.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 99))
+	click.Push(ctx, m, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 99))
 	if len(under.got) != 3 {
 		t.Error("refill")
 	}
@@ -145,7 +145,7 @@ func TestRandomSample(t *testing.T) {
 	rest := wire(t, rs, 1)
 	ctx, _, _ := testCtx()
 	for i := 0; i < 1000; i++ {
-		rs.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, rs, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	if len(sampled.got) < 400 || len(sampled.got) > 600 {
 		t.Errorf("sampled = %d of 1000 at p=0.5", len(sampled.got))
@@ -159,7 +159,7 @@ func TestRandomSample(t *testing.T) {
 	wire(t, rs0, 0)
 	drops := 0
 	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
-	rs0.Push(ctx2, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx2, rs0, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("p=0 with unwired port 1 should drop")
 	}

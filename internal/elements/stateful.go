@@ -80,20 +80,19 @@ func (e *StatefulFirewall) OutPorts() int { return 2 }
 // ActiveFlows returns the number of tracked flows.
 func (e *StatefulFirewall) ActiveFlows() int { return len(e.flows) }
 
-// Admit runs the firewall decision for a packet arriving on the given
-// input port at time now, returning the output port and whether the
-// packet passes (blocked packets are counted and should be dropped).
-// Shared by Push and the compiled pipeline kernel.
-func (e *StatefulFirewall) Admit(now int64, port int, p *packet.Packet) (int, bool) {
+// Step implements click.Element: blocked packets are counted and
+// dropped.
+func (e *StatefulFirewall) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	now := env.Now()
 	if port == 0 {
 		// Outbound: policy check, then record the flow.
 		if !e.policy.Match(p) {
 			e.Blocked++
-			return 0, false
+			return click.Drop(click.DropFilter)
 		}
 		e.flows[p.Tuple()] = now
 		p.FlowTag = 1
-		return 0, true
+		return 0
 	}
 	// Inbound: only related response traffic.
 	t, ok := e.flows[p.Tuple().Reverse()]
@@ -102,10 +101,10 @@ func (e *StatefulFirewall) Admit(now int64, port int, p *packet.Packet) (int, bo
 			delete(e.flows, p.Tuple().Reverse())
 		}
 		e.Blocked++
-		return 0, false
+		return click.Drop(click.DropFilter)
 	}
 	e.flows[p.Tuple().Reverse()] = now
-	return 1, true
+	return 1
 }
 
 // LastSeen reports when the given (forward-direction) tuple was last
@@ -113,16 +112,6 @@ func (e *StatefulFirewall) Admit(now int64, port int, p *packet.Packet) (int, bo
 func (e *StatefulFirewall) LastSeen(t packet.FiveTuple) (int64, bool) {
 	ts, ok := e.flows[t]
 	return ts, ok
-}
-
-// Push implements click.Element.
-func (e *StatefulFirewall) Push(ctx *click.Context, port int, p *packet.Packet) {
-	out, ok := e.Admit(ctx.Now(), port, p)
-	if !ok {
-		ctx.Drop(p)
-		return
-	}
-	e.Out(ctx, out, p)
 }
 
 // Sym implements symexec.Model, mirroring the paper's Fig. 2:
@@ -189,9 +178,9 @@ func (e *FlowMeter) Stats(t packet.FiveTuple) (packets, bytes uint64, ok bool) {
 	return st.Packets, st.Bytes, true
 }
 
-// Record accounts one packet at time now. Shared by Push and the
-// compiled pipeline kernel.
-func (e *FlowMeter) Record(now int64, p *packet.Packet) {
+// Step implements click.Element.
+func (e *FlowMeter) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	now := env.Now()
 	st := e.stats[p.Tuple()]
 	if st == nil {
 		st = &flowStats{First: now}
@@ -200,12 +189,7 @@ func (e *FlowMeter) Record(now int64, p *packet.Packet) {
 	st.Packets++
 	st.Bytes += uint64(p.Len())
 	st.Last = now
-}
-
-// Push implements click.Element.
-func (e *FlowMeter) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Record(ctx.Now(), p)
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: pure observation.
@@ -286,39 +270,28 @@ func (e *ChangeEnforcer) InPorts() int { return 2 }
 // OutPorts implements click.Element.
 func (e *ChangeEnforcer) OutPorts() int { return 2 }
 
-// Admit runs the enforcement decision for a packet arriving on the
-// given input port at time now: true means forward on the same-numbered
-// output, false means drop (counted). Shared by Push and the compiled
-// pipeline kernel.
-func (e *ChangeEnforcer) Admit(now int64, port int, p *packet.Packet) bool {
+// Step implements click.Element: admitted packets leave on the output
+// numbered like their input; blocked ones are counted and dropped.
+func (e *ChangeEnforcer) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if port == 0 {
 		// Toward the module: record the remote source as implicitly
 		// authorized, then pass.
-		e.inbound[p.SrcIP] = now
-		return true
+		e.inbound[p.SrcIP] = env.Now()
+		return 0
 	}
 	// From the module: whitelist or implicit authorization.
 	if e.whitelist[p.DstIP] {
-		return true
+		return click.Verdict(port)
 	}
 	t, ok := e.inbound[p.DstIP]
-	if !ok || now-t > e.TimeoutNS {
+	if !ok || env.Now()-t > e.TimeoutNS {
 		if ok {
 			delete(e.inbound, p.DstIP)
 		}
 		e.Blocked++
-		return false
+		return click.Drop(click.DropFilter)
 	}
-	return true
-}
-
-// Push implements click.Element.
-func (e *ChangeEnforcer) Push(ctx *click.Context, port int, p *packet.Packet) {
-	if !e.Admit(ctx.Now(), port, p) {
-		ctx.Drop(p)
-		return
-	}
-	e.Out(ctx, port, p)
+	return click.Verdict(port)
 }
 
 // Sym implements symexec.Model. Implicit authorization is pushed into

@@ -50,11 +50,11 @@ func (e *RoundRobinSwitch) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *RoundRobinSwitch) OutPorts() int { return e.N }
 
-// Push implements click.Element.
-func (e *RoundRobinSwitch) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *RoundRobinSwitch) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	out := e.next
 	e.next = (e.next + 1) % e.N
-	e.Out(ctx, out, p)
+	return click.Verdict(out)
 }
 
 // Sym implements symexec.Model: which output a packet takes depends
@@ -103,9 +103,9 @@ func (e *HashSwitch) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *HashSwitch) OutPorts() int { return e.N }
 
-// PortOf returns the output port the five-tuple hashes to. Shared by
-// Push and the compiled pipeline kernel.
-func (e *HashSwitch) PortOf(p *packet.Packet) int {
+// Step implements click.Element: the output port is the five-tuple's
+// hash modulo N.
+func (e *HashSwitch) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	t := p.Tuple()
 	// FNV-1a over the tuple fields.
 	h := uint32(2166136261)
@@ -120,12 +120,7 @@ func (e *HashSwitch) PortOf(p *packet.Packet) int {
 	mix(t.DstIP)
 	mix(uint32(t.SrcPort)<<16 | uint32(t.DstPort))
 	mix(uint32(t.Protocol))
-	return int(h % uint32(e.N))
-}
-
-// Push implements click.Element.
-func (e *HashSwitch) Push(ctx *click.Context, port int, p *packet.Packet) {
-	e.Out(ctx, e.PortOf(p), p)
+	return click.Verdict(h % uint32(e.N))
 }
 
 // Sym implements symexec.Model: a may-branch, like RoundRobinSwitch.
@@ -167,19 +162,14 @@ func (e *ICMPPingResponder) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *ICMPPingResponder) OutPorts() int { return 2 }
 
-// Push implements click.Element.
-func (e *ICMPPingResponder) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *ICMPPingResponder) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if p.Protocol != packet.ProtoICMP {
-		if e.Connected(1) {
-			e.Out(ctx, 1, p)
-		} else {
-			ctx.Drop(p)
-		}
-		return
+		return 1
 	}
 	e.Replies++
 	p.SrcIP, p.DstIP = p.DstIP, p.SrcIP
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -234,14 +224,14 @@ func (e *SetPort) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *SetPort) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *SetPort) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *SetPort) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	if e.src {
 		p.SrcPort = e.Port
 	} else {
 		p.DstPort = e.Port
 	}
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.
@@ -282,10 +272,10 @@ func (e *SetIPTTL) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *SetIPTTL) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *SetIPTTL) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *SetIPTTL) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	p.TTL = e.TTL
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model.

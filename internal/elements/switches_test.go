@@ -14,7 +14,7 @@ func TestRoundRobinSwitch(t *testing.T) {
 	outs := []*sink{wire(t, rr, 0), wire(t, rr, 1), wire(t, rr, 2)}
 	ctx, _, _ := testCtx()
 	for i := 0; i < 9; i++ {
-		rr.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, rr, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	for i, o := range outs {
 		if len(o.got) != 3 {
@@ -33,7 +33,7 @@ func TestHashSwitchFlowAffinity(t *testing.T) {
 	ctx, _, _ := testCtx()
 	// Same flow -> same output.
 	for i := 0; i < 10; i++ {
-		hs.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1000, 2000))
+		click.Push(ctx, hs, 0, udpPkt("1.1.1.1", "2.2.2.2", 1000, 2000))
 	}
 	nonEmpty := 0
 	for _, o := range outs {
@@ -49,7 +49,7 @@ func TestHashSwitchFlowAffinity(t *testing.T) {
 	}
 	// Many flows spread across outputs.
 	for i := 0; i < 64; i++ {
-		hs.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", uint16(1000+i), 2000))
+		click.Push(ctx, hs, 0, udpPkt("1.1.1.1", "2.2.2.2", uint16(1000+i), 2000))
 	}
 	spread := 0
 	for _, o := range outs {
@@ -74,14 +74,14 @@ func TestICMPPingResponder(t *testing.T) {
 		DstIP:    packet.MustParseIP("10.0.0.2"),
 		TTL:      64,
 	}
-	r.Push(ctx, 0, ping)
+	click.Push(ctx, r, 0, ping)
 	if len(echo.got) != 1 || r.Replies != 1 {
 		t.Fatal("no echo")
 	}
 	if packet.IPString(ping.SrcIP) != "10.0.0.2" || packet.IPString(ping.DstIP) != "10.0.0.1" {
 		t.Error("addresses not swapped")
 	}
-	r.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, r, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if len(pass.got) != 1 {
 		t.Error("udp not passed through")
 	}
@@ -111,9 +111,9 @@ func TestSetPortsAndTTL(t *testing.T) {
 	wire(t, ttl, 0)
 	ctx, _, _ := testCtx()
 	p := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
-	sp.Push(ctx, 0, p)
-	dp.Push(ctx, 0, p)
-	ttl.Push(ctx, 0, p)
+	click.Push(ctx, sp, 0, p)
+	click.Push(ctx, dp, 0, p)
+	click.Push(ctx, ttl, 0, p)
 	if p.SrcPort != 8080 || p.DstPort != 53 || p.TTL != 7 {
 		t.Errorf("packet = %+v", p)
 	}

@@ -80,16 +80,16 @@ func (e *UDPIPEncap) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *UDPIPEncap) OutPorts() int { return 1 }
 
-// Push implements click.Element: the inner packet is serialized into
+// Step implements click.Element: the inner packet is serialized into
 // the outer payload.
-func (e *UDPIPEncap) Push(ctx *click.Context, port int, p *packet.Packet) {
+func (e *UDPIPEncap) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	inner := p.Serialize(nil)
 	p.Payload = inner
 	p.SrcIP, p.DstIP = e.SrcIP, e.DstIP
 	p.SrcPort, p.DstPort = e.SrcPort, e.DstPort
 	p.Protocol = packet.ProtoUDP
 	p.TTL = 64
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: the outer headers become constants
@@ -131,18 +131,17 @@ func (e *IPDecap) InPorts() int { return 1 }
 // OutPorts implements click.Element.
 func (e *IPDecap) OutPorts() int { return 1 }
 
-// Push implements click.Element.
-func (e *IPDecap) Push(ctx *click.Context, port int, p *packet.Packet) {
+// Step implements click.Element.
+func (e *IPDecap) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
 	var inner packet.Packet
 	if err := inner.Parse(p.Payload); err != nil {
 		e.Malformed++
-		ctx.Drop(p)
-		return
+		return click.Drop(click.DropFilter)
 	}
 	inner.Timestamp = p.Timestamp
 	inner.UserID = p.UserID
 	*p = *inner.Clone()
-	e.Out(ctx, 0, p)
+	return 0
 }
 
 // Sym implements symexec.Model: every header of the decapsulated

@@ -68,12 +68,12 @@ func (e *Unqueue) SetUpstream(port int, up click.Puller, upPort int) error {
 	return nil
 }
 
-// Push implements click.Element. A pull input cannot be pushed to;
+// Step implements click.Element. A pull input cannot be pushed to;
 // misdirected packets are dropped (real Click fails the configuration
 // at parse time; we lack push/pull type inference, so this is the
 // runtime guard).
-func (e *Unqueue) Push(ctx *click.Context, port int, p *packet.Packet) {
-	ctx.Drop(p)
+func (e *Unqueue) Step(env click.Env, port int, p *packet.Packet) click.Verdict {
+	return click.Drop(click.DropDiscard)
 }
 
 // Kick drains the upstream queue (the notifier wake-up).

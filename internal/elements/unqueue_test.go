@@ -58,7 +58,7 @@ func TestUnqueueBurstLimit(t *testing.T) {
 	}
 	ctx, _, _ := testCtx()
 	for i := 0; i < 5; i++ {
-		q.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
+		click.Push(ctx, q, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, uint16(i)))
 	}
 	// Each Push kicks; burst 2 per kick, so everything still drains
 	// (kick per arrival), but a manual refill shows the limit.
@@ -87,7 +87,7 @@ func TestUnqueueGuards(t *testing.T) {
 	// Pushing into a pull input drops.
 	drops := 0
 	ctx := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
-	u.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, u, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("push into pull input not dropped")
 	}
@@ -117,7 +117,7 @@ func TestQueueStillSelfDrainsWithoutPuller(t *testing.T) {
 	configure(t, q, "10")
 	out := wire(t, q, 0)
 	ctx, _, _ := testCtx()
-	q.Push(ctx, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
+	click.Push(ctx, q, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if len(out.got) != 0 {
 		t.Fatal("queue leaked before tick")
 	}

@@ -38,7 +38,7 @@ type Config struct {
 	// Depth is the per-worker submission queue depth (batches), 16
 	// when zero.
 	Depth int
-	// Now supplies the time every worker's stateful kernels see.
+	// Now supplies the time every worker's stateful elements see.
 	// It may be called concurrently.
 	Now func() int64
 	// Transmit receives packets leaving any worker. It is called from

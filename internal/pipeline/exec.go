@@ -8,19 +8,18 @@ import (
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// Exec runs a Program to completion over packet batches. It owns the
-// per-stage input buffers, so it is single-worker state: one goroutine
-// per Exec, like packet.Pool. The hooks mirror click.Context; set them
-// before the first Run.
+// Exec runs a Program: each packet is carried through the stage table
+// to its verdict before the next one starts, exactly the order of the
+// graph walk. It is single-worker state: one goroutine per Exec, like
+// packet.Pool. The hooks mirror click.Context; set them before the
+// first Run.
 type Exec struct {
-	prog  *Program
-	bufs  [][]*packet.Packet
-	ports [][]int32 // parallel arrival ports; non-nil only for needPort stages
-	ctx   click.Context
-	one   [1]*packet.Packet
+	prog *Program
+	env  click.Env     // the Exec itself, as elements see it in Step
+	ctx  click.Context // graph-walk context for ticker drains
 
 	// Now returns the current time in nanoseconds (virtual or wall).
-	// Stateful kernels consult it per packet, exactly as Push does.
+	// Stateful elements consult it per packet.
 	Now func() int64
 	// Transmit receives packets leaving through ToNetfront stages;
 	// when nil they are dropped, as with a nil click.Context.Transmit.
@@ -32,47 +31,30 @@ type Exec struct {
 
 	// Drops counts packets dropped by the program (unwired ports and
 	// element decisions); DropsBy splits the same total by taxonomy
-	// reason (indexed by DropReason).
+	// reason.
 	Drops   uint64
-	DropsBy [NumDropReasons]uint64
+	DropsBy [click.NumDropReasons]uint64
 	// Packets and Batches count work pushed through Run.
 	Packets uint64
 	Batches uint64
 
-	// Path-trace state (see trace.go). ptRing nil = tracing detached:
-	// Run pays one nil check, the hooks one nil pointer compare.
+	// Path-trace state (see trace.go). ptRing nil = tracing detached.
 	ptRing  *telemetry.PathRing
 	ptEvery int
-	ptCur   *packet.Packet // the in-flight traced packet, else nil
 	ptHops  []telemetry.PathHop
-	ptIn    int // arrival port of ptCur at its next stage
-	ptOne   [1]*packet.Packet
-	ptPort  [1]int32
 }
 
 // NewExec returns an execution context for prog.
 func NewExec(prog *Program) *Exec {
-	x := &Exec{
-		prog:  prog,
-		bufs:  make([][]*packet.Packet, len(prog.stages)),
-		ports: make([][]int32, len(prog.stages)),
-	}
-	for i := range prog.stages {
-		if prog.stages[i].needPort {
-			x.ports[i] = make([]int32, 0, 8)
-		}
-	}
+	x := &Exec{prog: prog}
+	x.env = execEnv{x}
 	// The graph-walk context used for ticker drains forwards to the
-	// same hooks the kernels use, so both paths see identical time,
-	// egress and drop behavior.
+	// same hooks the compiled steps use, so both paths see identical
+	// time, egress and drop behavior.
 	x.ctx = click.Context{
-		Now: x.now,
-		Transmit: func(iface int, pk *packet.Packet) {
-			x.transmit(iface, pk)
-		},
-		DropHook: func(pk *packet.Packet) {
-			x.dropAs(pk, DropOther)
-		},
+		Now:      x.now,
+		Transmit: x.transmit,
+		DropHook: func(pk *packet.Packet) { x.drop(pk, click.DropOther) },
 	}
 	return x
 }
@@ -80,61 +62,69 @@ func NewExec(prog *Program) *Exec {
 // Program returns the program this Exec runs.
 func (x *Exec) Program() *Program { return x.prog }
 
-// Run pushes a batch into the src'th injection point and executes the
-// program to completion: every stage consumes its queued batch in
-// topological order, so a packet traverses its whole path before Run
-// returns. The input slice is not retained.
+// Run pushes a batch into the src'th injection point, running each
+// packet to completion in batch order. The input slice is not retained.
 func (x *Exec) Run(src int, pkts []*packet.Packet) error {
 	if src < 0 || src >= len(x.prog.srcs) {
-		return fmt.Errorf("pipeline: no injection point %d (have %d)", src, len(x.prog.srcs))
+		return x.badSource(src)
 	}
 	x.Packets += uint64(len(pkts))
 	x.Batches++
-	si := x.prog.srcs[src]
-	if x.ptRing != nil && len(pkts) > 0 {
-		if h := AffinityHash(pkts[0].Tuple()); telemetry.Sampled(h, x.ptEvery) {
-			x.traceRun(si, pkts[0], h)
-			pkts = pkts[1:]
-			if len(pkts) == 0 {
-				return nil
-			}
+	st := x.prog.srcs[src]
+	for i, pk := range pkts {
+		if i > 0 || x.ptRing == nil || !x.runSampled(st, pk) {
+			x.run(st, 0, pk, false)
 		}
 	}
-	// All stage buffers are empty between Runs (sweep drains them), so
-	// the source stage's kernel can consume the caller's batch directly
-	// — no copy through its input buffer — and the sweep can start at
-	// the next stage.
-	st := &x.prog.stages[si]
-	st.run(x, st, pkts, nil)
-	x.sweepFrom(int(si) + 1)
 	return nil
 }
 
-// RunOne processes a single packet (the platform's per-packet delivery
-// path) without allocating a batch.
+// RunOne is Run for a batch of one (the platform's per-packet delivery
+// path).
 func (x *Exec) RunOne(src int, pk *packet.Packet) error {
-	x.one[0] = pk
-	err := x.Run(src, x.one[:1])
-	x.one[0] = nil
-	return err
+	if src < 0 || src >= len(x.prog.srcs) {
+		return x.badSource(src)
+	}
+	x.Packets++
+	x.Batches++
+	if st := x.prog.srcs[src]; x.ptRing == nil || !x.runSampled(st, pk) {
+		x.run(st, 0, pk, false)
+	}
+	return nil
 }
 
-// sweepFrom executes stages from index i onward in topological order.
-// Kernels only append to buffers of later stages (the compiler
-// guarantees all edges point forward), so one pass drains everything.
-func (x *Exec) sweepFrom(i int) {
-	stages := x.prog.stages
-	for ; i < len(stages); i++ {
-		in := x.bufs[i]
-		if len(in) == 0 {
-			continue
+func (x *Exec) badSource(src int) error {
+	return fmt.Errorf("pipeline: no injection point %d (have %d)", src, len(x.prog.srcs))
+}
+
+// run is the executor: it steps pk from stage st (arriving on input
+// port in) along wired edges until an element consumes it or it falls
+// off an unwired port, then acts on that verdict. With trace set it
+// appends one hop per step to ptHops.
+func (x *Exec) run(st *stage, in int, pk *packet.Packet, trace bool) {
+	env := x.env
+	for {
+		v := st.el.Step(env, in, pk)
+		if port := uint(v); port < uint(len(st.next)) { // an output port, in range
+			if next := st.next[port]; next.st != nil {
+				if trace {
+					x.hop(st, in, int(v), v)
+				}
+				st, in = next.st, next.port
+				continue
+			}
 		}
-		st := &stages[i]
-		st.run(x, st, in, x.ports[i])
-		x.bufs[i] = in[:0]
-		if pp := x.ports[i]; pp != nil {
-			x.ports[i] = pp[:0]
+		out, v := click.Settle(v, x.Transmit != nil)
+		if trace {
+			x.hop(st, in, out, v)
 		}
+		switch {
+		case v.IsTx():
+			x.Transmit(v.Iface(), pk)
+		case v != click.Held:
+			x.drop(pk, v.Reason())
+		}
+		return
 	}
 }
 
@@ -148,49 +138,9 @@ func (x *Exec) Tick() int64 {
 	return x.prog.router.Tick(&x.ctx)
 }
 
-// emitTo queues a packet at a pre-resolved stage input, dropping it on
-// an unwired ref — the exact contract of click.Base.Out.
-func (x *Exec) emitTo(r ref, pk *packet.Packet) {
-	if r.idx < 0 {
-		x.drop(pk)
-		return
-	}
-	if pk == x.ptCur {
-		x.ptIn = int(r.port)
-		if n := len(x.ptHops); n > 0 && x.ptHops[n-1].Verdict == "" {
-			x.ptHops[n-1].Verdict = "forward"
-		}
-	}
-	x.bufs[r.idx] = append(x.bufs[r.idx], pk)
-	if pp := x.ports[r.idx]; pp != nil {
-		x.ports[r.idx] = append(pp, r.port)
-	}
-}
-
-// emit forwards a packet out of stage st on output port p.
-func (x *Exec) emit(st *stage, p int, pk *packet.Packet) {
-	if p >= 0 && p < len(st.next) {
-		if pk == x.ptCur {
-			if n := len(x.ptHops); n > 0 && x.ptHops[n-1].Verdict == "" {
-				x.ptHops[n-1].OutPort = p
-			}
-		}
-		x.emitTo(st.next[p], pk)
-		return
-	}
-	x.drop(pk)
-}
-
-func (x *Exec) drop(pk *packet.Packet) {
-	x.dropAs(pk, DropUnwired)
-}
-
-func (x *Exec) dropAs(pk *packet.Packet, reason DropReason) {
+func (x *Exec) drop(pk *packet.Packet, reason click.DropReason) {
 	x.Drops++
 	x.DropsBy[reason]++
-	if pk == x.ptCur {
-		x.traceDropHop(reason)
-	}
 	if f := x.DropHook; f != nil {
 		f(pk)
 	}
@@ -206,13 +156,30 @@ func (x *Exec) now() int64 {
 	return 0
 }
 
+// transmit is the ticker-drain egress: the graph walk only calls it
+// with a non-nil Context.Transmit, so the nil-hook case is handled here.
 func (x *Exec) transmit(iface int, pk *packet.Packet) {
 	if f := x.Transmit; f != nil {
-		if pk == x.ptCur {
-			x.traceTxHop(iface)
-		}
 		f(iface, pk)
 		return
 	}
-	x.drop(pk)
+	x.drop(pk, click.DropUnwired)
+}
+
+// execEnv is the Exec as click.Env. (Exec cannot implement Env itself:
+// its Now hook is a field.)
+type execEnv struct{ x *Exec }
+
+func (e execEnv) Now() int64 { return e.x.now() }
+
+// Emit runs an extra copy from the stage wired to from's output port,
+// to completion, before the original continues — the graph walk's
+// depth-first order.
+func (e execEnv) Emit(from click.Element, port int, pk *packet.Packet) {
+	x := e.x
+	if st := x.prog.index[from]; port < len(st.next) && st.next[port].st != nil {
+		x.run(st.next[port].st, st.next[port].port, pk, false)
+		return
+	}
+	x.drop(pk, click.DropUnwired)
 }

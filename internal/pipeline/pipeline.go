@@ -1,18 +1,17 @@
 // Package pipeline compiles an admitted click.Router into a flattened
-// run-to-completion program: a topologically ordered stage array with
-// pre-resolved next-stage indices, executed batch-in/batch-out. On the
-// hot path there is no click.Target interface dispatch and no
-// element-name map lookup — each stage is a monomorphic kernel closure
-// over the concrete element instance, and forwarding is an index into
-// the next stage's input buffer.
+// run-to-completion program: a topologically ordered stage table with
+// pre-resolved edges between stages. Exec carries each packet through
+// the table to its verdict, calling the same click.Element.Step the
+// graph walk calls, so a compiled module's egress sequence, drops and
+// element state are identical to the graph walk's.
 //
 // The compiled program shares element instances with the router it was
 // compiled from, so ticker-driven drains (Exec.Tick walks the ordinary
 // graph) and checkpoint/restore observe exactly the state the compiled
-// stages mutate. Configurations the compiler cannot flatten (pull-path
-// wiring, cycles, order- or randomness-dependent branching, unknown
-// classes) fail with an UnsupportedError and callers fall back to
-// graph-walk dispatch.
+// stages mutate. Configurations the compiler does not flatten (pull-path
+// wiring, cycles, order- or randomness-dependent branching,
+// self-scheduled sources) fail with an UnsupportedError and callers fall
+// back to graph-walk dispatch.
 package pipeline
 
 import (
@@ -21,7 +20,7 @@ import (
 
 	"github.com/in-net/innet/internal/click"
 	"github.com/in-net/innet/internal/clicklang"
-	"github.com/in-net/innet/internal/packet"
+	"github.com/in-net/innet/internal/elements"
 )
 
 // ErrUnsupported marks configurations the compiler cannot flatten.
@@ -47,46 +46,20 @@ func (e *UnsupportedError) Error() string {
 // Unwrap makes errors.Is(err, ErrUnsupported) work.
 func (e *UnsupportedError) Unwrap() error { return ErrUnsupported }
 
-// ref is a pre-resolved next-stage pointer: the stage a packet emitted
-// on some output port goes to, and the input port it arrives on. A
-// negative stage index means the output is unwired and the packet is
-// dropped, mirroring click.Base.Out.
+// ref is a pre-resolved edge: the stage a packet emitted on some output
+// port goes to, and the input port it arrives on. A nil stage means the
+// output is unwired and the packet is dropped, mirroring click.Base.Out.
 type ref struct {
-	idx  int32
-	port int32
+	st   *stage
+	port int
 }
-
-var dropRef = ref{idx: -1, port: -1}
-
-// kernel processes the batch queued at a stage. in holds the packets;
-// ports holds the per-packet arrival port and is non-nil only for
-// stages whose element consumes it (needPort), so the common
-// single-input case moves 8 bytes per packet per hop, not 16.
-type kernel func(x *Exec, st *stage, in []*packet.Packet, ports []int32)
 
 // stage is one flattened element.
 type stage struct {
-	el       click.Element
-	name     string
-	class    string
-	idx      int32 // own stage index (fused-run id in path traces)
-	next     []ref // per output port; missing ports drop
-	out0     ref   // next[0] (or drop), for single-output fast paths
-	run      kernel
-	needPort bool // element consumes the arrival port (multi-input)
-
-	// Fused linear run (see fuse.go): when ops is non-nil this stage
-	// is the head of a maximal single-successor chain and run is
-	// runFused — each packet walks the whole op list register-hot,
-	// with no intermediate stage buffers. Survivors land at tail.
-	ops  []fop
-	tail ref
-}
-
-// wiring is the slice of click.Base the compiler introspects.
-type wiring interface {
-	Target(p int) click.Target
-	NumWiredOutputs() int
+	el    click.Element
+	next  []ref // per output port; missing ports drop
+	name  string
+	class string
 }
 
 // Program is a compiled router. A Program itself is immutable; run it
@@ -95,8 +68,8 @@ type wiring interface {
 type Program struct {
 	router *click.Router
 	stages []stage
-	srcs   []int32 // stage index per injection point, in decl order
-	fused  int     // stages folded into fused runs (diagnostics)
+	srcs   []*stage                 // stage per injection point, in decl order
+	index  map[click.Element]*stage // element -> stage (Tee copies)
 }
 
 // Router returns the router the program was compiled from.
@@ -107,10 +80,6 @@ func (p *Program) NumStages() int { return len(p.stages) }
 
 // NumSources returns the number of injection points.
 func (p *Program) NumSources() int { return len(p.srcs) }
-
-// NumFused returns how many stages were folded into fused linear runs
-// (they still appear in Stages but execute inside their run head).
-func (p *Program) NumFused() int { return p.fused }
 
 // Stages returns "name :: class" per stage in execution order, for
 // diagnostics.
@@ -130,8 +99,7 @@ func (p *Program) Stages() []string {
 //   - a cycle in the element graph,
 //   - an element whose output interleaving depends on arrival order or
 //     randomness (RoundRobinSwitch, RandomSample),
-//   - self-scheduled sources (TimedSource),
-//   - any class without a compiled kernel.
+//   - self-scheduled sources (TimedSource) and pull consumers (Unqueue).
 func Compile(r *click.Router) (*Program, error) {
 	els := r.Elements()
 	if len(els) == 0 {
@@ -145,13 +113,10 @@ func Compile(r *click.Router) (*Program, error) {
 	// Reject pull-path wiring up front: those packets move on the
 	// consumer's schedule, which run-to-completion cannot model.
 	for _, el := range els {
-		w, ok := el.(wiring)
-		if !ok {
-			return nil, &UnsupportedError{el.Name(), el.Class(), "element does not expose wiring"}
-		}
 		if _, isPuller := el.(click.Puller); !isPuller {
 			continue
 		}
+		w := el.Wiring()
 		for p := 0; p < w.NumWiredOutputs(); p++ {
 			if t := w.Target(p); t.Elem != nil {
 				if _, pull := t.Elem.(click.UpstreamSetter); pull {
@@ -162,12 +127,11 @@ func Compile(r *click.Router) (*Program, error) {
 	}
 
 	// Kahn topological sort, picking the lowest declaration index at
-	// every step so stage order is deterministic. Because every edge
-	// goes from an earlier stage to a later one, Exec can run stages
-	// in a single forward sweep.
+	// every step so stage order is deterministic; it is also the cycle
+	// check — a packet in an acyclic table always reaches a verdict.
 	indeg := make([]int, len(els))
 	for _, el := range els {
-		w := el.(wiring)
+		w := el.Wiring()
 		for p := 0; p < w.NumWiredOutputs(); p++ {
 			if t := w.Target(p); t.Elem != nil {
 				indeg[idx[t.Elem]]++
@@ -189,7 +153,7 @@ func Compile(r *click.Router) (*Program, error) {
 		}
 		placed[pick] = true
 		order = append(order, pick)
-		w := els[pick].(wiring)
+		w := els[pick].Wiring()
 		for p := 0; p < w.NumWiredOutputs(); p++ {
 			if t := w.Target(p); t.Elem != nil {
 				indeg[idx[t.Elem]]--
@@ -197,53 +161,62 @@ func Compile(r *click.Router) (*Program, error) {
 		}
 	}
 
-	pos := make([]int32, len(els)) // declaration index -> stage index
-	for si, di := range order {
-		pos[di] = int32(si)
+	prog := &Program{
+		router: r,
+		stages: make([]stage, len(els)),
+		index:  make(map[click.Element]*stage, len(els)),
 	}
-
-	prog := &Program{router: r, stages: make([]stage, len(els))}
+	for si, di := range order {
+		prog.index[els[di]] = &prog.stages[si]
+	}
 	for si, di := range order {
 		el := els[di]
+		if reason := unsupported(el); reason != "" {
+			return nil, &UnsupportedError{el.Name(), el.Class(), reason}
+		}
 		st := &prog.stages[si]
 		st.el = el
-		st.idx = int32(si)
 		st.name = el.Name()
 		st.class = el.Class()
-		w := el.(wiring)
+		w := el.Wiring()
 		st.next = make([]ref, w.NumWiredOutputs())
 		for p := range st.next {
-			t := w.Target(p)
-			if t.Elem == nil {
-				st.next[p] = dropRef
-				continue
+			if t := w.Target(p); t.Elem != nil {
+				st.next[p] = ref{st: prog.index[t.Elem], port: t.Port}
 			}
-			st.next[p] = ref{idx: pos[idx[t.Elem]], port: int32(t.Port)}
 		}
-		st.out0 = dropRef
-		if len(st.next) > 0 {
-			st.out0 = st.next[0]
-		}
-		k, needPort, reason := kernelFor(el)
-		if k == nil {
-			return nil, &UnsupportedError{st.name, st.class, reason}
-		}
-		st.run = k
-		st.needPort = needPort
 	}
-	prog.fuse()
 
 	// Injection points, in declaration order (same order click.Build
 	// collects them, so Exec.Run(i, ...) matches Router.Inject(i, ...)).
 	for _, el := range els {
 		if inj, ok := el.(click.Injector); ok && inj.InjectionPoint() {
-			prog.srcs = append(prog.srcs, pos[idx[el]])
+			prog.srcs = append(prog.srcs, prog.index[el])
 		}
 	}
 	if len(prog.srcs) == 0 {
 		return nil, &UnsupportedError{Reason: "no injection point (FromNetfront)"}
 	}
 	return prog, nil
+}
+
+// unsupported names why a class stays on the graph walk, or "" when it
+// compiles. Every class steps the same way on both dataplanes; these
+// are the ones whose *schedule* differs: they either interleave packets
+// across outputs in arrival order (per-worker Engine replicas would
+// diverge from the sequential walk) or move packets on their own clock.
+func unsupported(el click.Element) string {
+	switch el.(type) {
+	case *elements.RoundRobinSwitch:
+		return "output depends on packet arrival order"
+	case *elements.RandomSample:
+		return "probabilistic branching"
+	case *elements.TimedSource:
+		return "self-scheduled packet source"
+	case *elements.Unqueue:
+		return "pull-input element"
+	}
+	return ""
 }
 
 // CompileConfig parses, builds and compiles a configuration source.

@@ -19,7 +19,7 @@ func compileString(t *testing.T, src string) *Exec {
 	return NewExec(prog)
 }
 
-func TestPathTraceFusedRun(t *testing.T) {
+func TestPathTraceLinearChain(t *testing.T) {
 	x := compileString(t, `
 in :: FromNetfront();
 chk :: CheckIPHeader();
@@ -52,8 +52,8 @@ in -> chk -> cnt -> ttl -> out;
 		if h.Elem != wantElems[i] {
 			t.Fatalf("hop[%d].Elem = %q, want %q", i, h.Elem, wantElems[i])
 		}
-		if h.FusedRun < 0 {
-			t.Fatalf("hop[%d] not tagged with fused run: %+v", i, h)
+		if i < len(tr.Hops)-1 && (h.Verdict != "forward" || h.OutPort != 0) {
+			t.Fatalf("hop[%d] = %+v, want forward on port 0", i, h)
 		}
 	}
 	if last := tr.Hops[len(tr.Hops)-1]; last.Verdict != "tx:0" {
@@ -68,7 +68,7 @@ in -> chk -> cnt -> ttl -> out;
 	}
 }
 
-func TestPathTraceDivertAndDropReasons(t *testing.T) {
+func TestPathTraceUnwiredBranch(t *testing.T) {
 	x := compileString(t, `
 in :: FromNetfront();
 ttl :: DecIPTTL();
@@ -83,17 +83,15 @@ in -> ttl -> out;
 		t.Fatal(err)
 	}
 	tr := ring.Recent(1)[0]
-	n := len(tr.Hops)
-	if n < 2 {
+	// One hop per step: the element that chose the port, the port it
+	// chose, and the fact that it leads nowhere.
+	if len(tr.Hops) != 2 {
 		t.Fatalf("hops: %+v", tr.Hops)
 	}
-	if h := tr.Hops[n-2]; h.Elem != "ttl" || h.Verdict != "divert" || h.OutPort != 1 {
-		t.Fatalf("divert hop wrong: %+v", h)
-	}
-	if h := tr.Hops[n-1]; h.Verdict != "drop:unwired" {
+	if h := tr.Hops[1]; h.Elem != "ttl" || h.OutPort != 1 || h.Verdict != "drop:unwired" {
 		t.Fatalf("drop hop wrong: %+v", h)
 	}
-	if x.DropsBy[DropUnwired] != 1 || x.Drops != 1 {
+	if x.DropsBy[click.DropUnwired] != 1 || x.Drops != 1 {
 		t.Fatalf("drop attribution: DropsBy=%v Drops=%d", x.DropsBy, x.Drops)
 	}
 }
@@ -114,12 +112,12 @@ in -> dsc;
 	if last.Elem != "dsc" || last.Verdict != "drop:discard" {
 		t.Fatalf("discard hop wrong: %+v", last)
 	}
-	if x.DropsBy[DropDiscard] != 1 {
+	if x.DropsBy[click.DropDiscard] != 1 {
 		t.Fatalf("DropsBy = %v, want one discard", x.DropsBy)
 	}
 }
 
-func TestPathTraceUnfusedStages(t *testing.T) {
+func TestPathTraceBranch(t *testing.T) {
 	x := compileString(t, `
 in :: FromNetfront();
 cls :: IPClassifier(udp dst port 80, -);
@@ -146,9 +144,6 @@ cls[1] -> out1;
 	for i, h := range tr.Hops {
 		if h.Elem != wantElems[i] {
 			t.Fatalf("hop[%d] = %+v, want elem %q", i, h, wantElems[i])
-		}
-		if h.FusedRun != -1 {
-			t.Fatalf("unfused hop tagged with fused run: %+v", h)
 		}
 	}
 	if tr.Hops[1].OutPort != 0 || tr.Hops[1].Verdict != "forward" {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/in-net/innet/internal/click"
 	"github.com/in-net/innet/internal/packet"
-	"github.com/in-net/innet/internal/pipeline"
 	"github.com/in-net/innet/internal/telemetry"
 )
 
@@ -69,67 +68,28 @@ func (p *Platform) PathTraces(addr uint32, n int) []telemetry.PathTrace {
 }
 
 // injectTraced runs one sampled packet through the graph-walk
-// dataplane with a per-hop observer armed, then records the assembled
-// trace. The interior hops come from Context.PathHook (fired when an
-// element forwards); the terminal verdict is synthesized from the
-// transmit/drop hooks since the egress element never calls Out.
+// dataplane with the per-step observer armed, then records the
+// assembled trace: one hop per element Step, carrying the verdict the
+// walk acted on.
 func (p *Platform) injectTraced(r *click.Router, base *click.Context, pkt *packet.Packet, ring *telemetry.PathRing, hash uint64) {
 	var hops []telemetry.PathHop
-	curIn := 0
-	done := false
-	ctx := &click.Context{
-		Now:  base.Now,
-		Pool: base.Pool,
-		PathHook: func(elem string, outPort, inPort int, pk *packet.Packet) {
-			if pk != pkt || done {
-				return // a Tee clone, or post-verdict ticker traffic
-			}
-			hops = append(hops, telemetry.PathHop{
-				Elem: elem, InPort: curIn, OutPort: outPort,
-				Verdict: "forward", FusedRun: -1,
-			})
-			curIn = inPort
-		},
-		Transmit: func(iface int, pk *packet.Packet) {
-			if pk == pkt && !done {
-				hops = append(hops, telemetry.PathHop{
-					InPort: curIn, OutPort: -1,
-					Verdict: "tx:" + strconv.Itoa(iface), FusedRun: -1,
-				})
-				done = true
-			}
-			if base.Transmit != nil {
-				base.Transmit(iface, pk)
-			}
-		},
-		DropHook: func(pk *packet.Packet) {
-			if pk == pkt && !done {
-				hops = append(hops, telemetry.PathHop{
-					InPort: curIn, OutPort: -1,
-					Verdict: "drop:" + pipeline.DropOther.String(), FusedRun: -1,
-				})
-				done = true
-			}
-			if base.DropHook != nil {
-				base.DropHook(pk)
-			}
-		},
-	}
-	_ = r.Inject(ctx, 0, pkt)
-	if !done {
-		// No terminal hook fired: the packet is parked in a Queue (or
-		// equivalent) awaiting a scheduled drain.
+	ctx := *base
+	ctx.PathHook = func(elem string, inPort, outPort int, v click.Verdict, pk *packet.Packet) {
+		if pk != pkt {
+			return // a Tee clone
+		}
 		hops = append(hops, telemetry.PathHop{
-			InPort: curIn, OutPort: -1, Verdict: "queued", FusedRun: -1,
+			Elem: elem, InPort: inPort, OutPort: outPort, Verdict: v.String(),
 		})
 	}
+	_ = r.Inject(&ctx, 0, pkt)
 	ring.Put(telemetry.PathTrace{FlowHash: hash, Dataplane: "graph", Hops: hops})
 }
 
 // PipelineDrops sums the per-reason drop counters of every compiled
 // program on the platform (live plus retired), indexed by
-// pipeline.DropReason; monotonic like PipelineCounters.
-func (p *Platform) PipelineDrops() [pipeline.NumDropReasons]uint64 {
+// click.DropReason; monotonic like PipelineCounters.
+func (p *Platform) PipelineDrops() [click.NumDropReasons]uint64 {
 	out := p.pipelineRetiredBy
 	for _, vm := range p.vms {
 		for _, x := range vm.progs {
@@ -144,7 +104,7 @@ func (p *Platform) PipelineDrops() [pipeline.NumDropReasons]uint64 {
 // RegisterDrops wires the platform's drop counters into the unified
 // drop-attribution hub: datapath drops under site "platform" (same
 // reason names as innet_platform_dropped_total) and compiled-program
-// drops under site "pipeline" split by pipeline.DropReason. Reads
+// drops under site "pipeline" split by click.DropReason. Reads
 // happen at scrape time under the supplied lock (nil when the caller
 // guarantees exclusion). Multiple platforms may register; the hub sums
 // them into one series per (site, reason).
@@ -177,7 +137,7 @@ func (p *Platform) RegisterDrops(d *telemetry.Drops, lock sync.Locker) {
 		v := s.v
 		d.Source("platform", s.reason, read(func() uint64 { return *v }))
 	}
-	for i, name := range pipeline.DropReasonNames() {
+	for i, name := range click.DropReasonNames() {
 		i := i
 		d.Source("pipeline", name, read(func() uint64 { return p.PipelineDrops()[i] }))
 	}

@@ -1,58 +1,92 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 
+	"github.com/in-net/innet/internal/click"
 	_ "github.com/in-net/innet/internal/elements"
 	"github.com/in-net/innet/internal/netsim"
 	"github.com/in-net/innet/internal/packet"
-	"github.com/in-net/innet/internal/pipeline"
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// TestPathTracesCompiledAndGraph samples every flow (TraceEvery=1)
-// through both dataplanes of the same config and checks the captured
-// traces name the stages and carry the dataplane tag.
-func TestPathTracesCompiledAndGraph(t *testing.T) {
-	for _, tc := range []struct {
-		noPipeline bool
-		dataplane  string
-	}{
-		{false, "pipeline"},
-		{true, "graph"},
-	} {
+// parityConfig gives a sampled packet every kind of fate: forwarded
+// across a branch, dropped by an element's decision (filter, no_route,
+// discard), dropped off an unwired port, parked in a queue.
+const parityConfig = `
+in :: FromNetfront();
+chk :: CheckIPHeader;
+f :: IPFilter(deny tcp, allow all);
+cls :: IPClassifier(udp dst port 53, udp dst port 80, icmp);
+ttl :: DecIPTTL;
+tu :: TimedUnqueue(1);
+out0 :: ToNetfront(0);
+out1 :: ToNetfront(1);
+d :: Discard;
+in -> chk -> f -> cls;
+chk[1] -> d;
+cls[0] -> ttl -> out0;
+cls[1] -> out1;
+cls[2] -> tu -> out0;
+`
+
+// TestPathTraceParity samples every flow (TraceEvery=1) through both
+// dataplanes of the same config and packets: the two must record the
+// same hops — element, ports and the verdict with the element's real
+// drop reason — and differ only in the dataplane tag.
+func TestPathTraceParity(t *testing.T) {
+	const dst = "198.51.100.77"
+	mk := func(mut func(*packet.Packet)) *packet.Packet {
+		pk := udp(dst)
+		mut(pk)
+		return pk
+	}
+	pkts := func() []*packet.Packet {
+		return []*packet.Packet{
+			mk(func(pk *packet.Packet) { pk.DstPort = 53 }),                // ttl -> tx:0
+			mk(func(pk *packet.Packet) { pk.DstPort = 80 }),                // tx:1
+			mk(func(pk *packet.Packet) { pk.DstPort = 53; pk.TTL = 1 }),    // ttl[1]: drop:unwired
+			mk(func(pk *packet.Packet) { pk.TTL = 0 }),                     // chk[1] -> d: drop:discard
+			mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoTCP }),  // drop:filter
+			mk(func(pk *packet.Packet) { pk.DstPort = 9 }),                 // drop:no_route
+			mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoICMP }), // queued
+		}
+	}
+	wantLast := []string{"tx:0", "tx:1", "drop:unwired", "drop:discard", "drop:filter", "drop:no_route", "queued"}
+
+	run := func(noPipeline bool) []telemetry.PathTrace {
 		sim := netsim.New(1)
 		p := newPlatform(sim)
 		p.TraceEvery = 1
-		addr := packet.MustParseIP("198.51.100.77")
-		err := p.Register(ModuleSpec{Addr: addr, Config: statefulChain, NoPipeline: tc.noPipeline})
-		if err != nil {
+		addr := packet.MustParseIP(dst)
+		if err := p.Register(ModuleSpec{Addr: addr, Config: parityConfig, NoPipeline: noPipeline}); err != nil {
 			t.Fatal(err)
 		}
-		out := func(int, *packet.Packet) {}
-		for i := 0; i < 3; i++ {
-			p.Deliver(udp("198.51.100.77"), out)
+		for _, pk := range pkts() {
+			p.Deliver(pk, func(int, *packet.Packet) {})
 			sim.Run()
 		}
 		traces := p.PathTraces(addr, 0)
-		if len(traces) != 3 {
-			t.Fatalf("noPipeline=%v: got %d traces, want 3", tc.noPipeline, len(traces))
+		if len(traces) != len(wantLast) {
+			t.Fatalf("noPipeline=%v: got %d traces, want %d", noPipeline, len(traces), len(wantLast))
 		}
-		tr := traces[0]
-		if tr.Dataplane != tc.dataplane {
-			t.Fatalf("dataplane = %q, want %q", tr.Dataplane, tc.dataplane)
+		return traces
+	}
+	compiled, graph := run(false), run(true)
+	for i := range compiled {
+		c, g := compiled[i], graph[i]
+		if c.Dataplane != "pipeline" || g.Dataplane != "graph" {
+			t.Fatalf("dataplane tags: %q / %q", c.Dataplane, g.Dataplane)
 		}
-		elems := make(map[string]bool)
-		for _, h := range tr.Hops {
-			elems[h.Elem] = true
+		if c.FlowHash != g.FlowHash || !reflect.DeepEqual(c.Hops, g.Hops) {
+			t.Errorf("trace %d differs:\n pipeline: %+v\n graph:    %+v", i, c.Hops, g.Hops)
 		}
-		for _, want := range []string{"in", "chk", "ttl", "rl"} {
-			if !elems[want] {
-				t.Fatalf("noPipeline=%v: trace missing element %q: %+v", tc.noPipeline, want, tr.Hops)
-			}
-		}
-		if last := tr.Hops[len(tr.Hops)-1]; last.Verdict != "tx:0" {
-			t.Fatalf("noPipeline=%v: terminal verdict = %q, want tx:0", tc.noPipeline, last.Verdict)
+		// Traces come back newest first.
+		want := wantLast[len(wantLast)-1-i]
+		last := g.Hops[len(g.Hops)-1]
+		if last.Verdict != want || last.Elem == "" {
+			t.Errorf("trace %d ends in %+v, want verdict %q at a named element", i, last, want)
 		}
 	}
 }
@@ -158,12 +192,12 @@ func TestPlatformDropAttribution(t *testing.T) {
 	if got := snap["platform"]["no_module"]; got != 1 {
 		t.Fatalf("platform/no_module drops = %d, want 1", got)
 	}
-	if by := p.PipelineDrops(); by[pipeline.DropFilter] != filtered {
+	if by := p.PipelineDrops(); by[click.DropFilter] != filtered {
 		t.Fatalf("PipelineDrops = %v, hub saw %d", by, filtered)
 	}
 	// Retirement keeps the per-reason sums monotonic across a crash.
 	p.CrashVM(addr)
-	if by := p.PipelineDrops(); by[pipeline.DropFilter] != filtered {
+	if by := p.PipelineDrops(); by[click.DropFilter] != filtered {
 		t.Fatalf("PipelineDrops after crash = %v, want %d", by, filtered)
 	}
 }

@@ -181,7 +181,7 @@ type Platform struct {
 	// destroyed VMs' programs so PipelineCounters stays monotonic;
 	// pipelineRetiredBy does the same for the per-reason drop split.
 	pipelineRetired   [3]uint64
-	pipelineRetiredBy [pipeline.NumDropReasons]uint64
+	pipelineRetiredBy [click.NumDropReasons]uint64
 }
 
 // New builds a platform attached to a simulator.

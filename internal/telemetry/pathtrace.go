@@ -7,28 +7,22 @@ import (
 	"time"
 )
 
-// PathHop is one stage of a sampled packet's traversal: the element
-// it entered, the ports it used, and what the stage decided. A fused
-// opcode run (the compiled pipeline's linear-run interpreter) records
-// one hop per constituent element, tagged with the fused run's stage
-// id, so operators see through fusion without the hot path being
-// un-fused.
+// PathHop is one step of a sampled packet's traversal: the element it
+// entered, the ports it used, and what became of it there. Both
+// dataplanes record one hop per element Step.
 type PathHop struct {
-	// Elem is the element (or kernel) name from the Click config.
+	// Elem is the element name from the Click config.
 	Elem string `json:"elem"`
 	// InPort / OutPort are the ports the packet arrived on and left
-	// by. -1 when not applicable (terminal verdicts have no out port).
+	// by; OutPort is -1 when the element consumed the packet.
 	InPort  int `json:"in_port"`
 	OutPort int `json:"out_port"`
 	// Verdict says what happened at this hop: "forward" (moved to the
-	// next element), "tx:<iface>" (left the dataplane), "drop:<reason>"
-	// (discarded, reason from the drop taxonomy), or "divert" (took a
-	// non-default branch out of a fused run).
+	// next element), "queued" (held by a queueing element),
+	// "tx:<iface>" (left the dataplane) or "drop:<reason>" (discarded,
+	// reason from the drop taxonomy; "drop:unwired" with an OutPort
+	// means the chosen port leads nowhere).
 	Verdict string `json:"verdict"`
-	// FusedRun is the compiled-pipeline stage index whose fused opcode
-	// list produced this hop, or -1 for un-fused stages and the
-	// graph-walk fallback.
-	FusedRun int `json:"fused_run"`
 }
 
 // PathTrace is one sampled packet's complete journey through one

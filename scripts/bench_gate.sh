@@ -9,9 +9,9 @@
 #
 # HISTORY_FILE defaults to BENCH_HISTORY.jsonl; THRESHOLD is the
 # relative drop that fails the build (default 0.15 = 15%). Gated
-# metrics: dispatch_batch_pps, admission_cold_ops_per_sec,
-# pipeline_compiled_pps. A history with fewer than two comparable
-# entries passes vacuously (first run on a fresh environment).
+# metrics: dispatch_batch_pps, admission_cold_ops_per_sec. A history
+# with fewer than two comparable entries passes vacuously (first run on
+# a fresh environment).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
