@@ -102,7 +102,8 @@ examples:
 	$(GO) run ./examples/ddos
 	$(GO) run ./examples/cdn
 
-# Short fuzzing passes over every parser.
+# Short fuzzing passes over every parser, plus the controller's
+# transition function against the journal fold.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/clicklang/
 	$(GO) test -fuzz=FuzzSplitArgs -fuzztime=15s ./internal/clicklang/
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/policy/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/journal/
+	$(GO) test -fuzz=FuzzControllerFold -fuzztime=30s ./internal/controller/
 
 # The seeded chaos suite: fault-injected cluster runs with the full
 # multi-seed sweep (the sweep is skipped under `go test -short`).

@@ -141,8 +141,8 @@ func (c *Controller) epochLocked() string {
 	h := sha256.New()
 	for _, id := range ids {
 		d := c.deployments[id]
-		if d.Status() == StatusFailed {
-			continue // failed modules are off the network (hostedLocked)
+		if !d.onNetwork() {
+			continue
 		}
 		fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d:%s\n", d.ModuleName, d.Platform, d.Addr, len(d.Config), d.Config)
 	}
@@ -200,8 +200,8 @@ func (c *Controller) digestsLocked() map[string]string {
 	perPf := make(map[string][]string)
 	out := make(map[string]string)
 	for _, d := range c.deployments {
-		if d.Status() == StatusFailed {
-			continue // failed modules are off the network (hostedLocked)
+		if !d.onNetwork() {
+			continue
 		}
 		line := fmt.Sprintf("%s\x00%s\x00%d\x00%d:%s", d.ModuleName, d.Platform, d.Addr, len(d.Config), d.Config)
 		perPf[d.Platform] = append(perPf[d.Platform], line)

@@ -181,6 +181,14 @@ func (d *Deployment) Status() DeploymentStatus {
 
 func (d *Deployment) setStatus(s DeploymentStatus) { d.status.Store(int32(s)) }
 
+// onNetwork reports whether the module is part of the compiled
+// network: a failed one is out of service and a migrating one is being
+// re-placed, so placement and the cache epochs treat both as absent.
+func (d *Deployment) onNetwork() bool {
+	s := d.Status()
+	return s != StatusFailed && s != StatusMigrating
+}
+
 // statefulClasses lists element classes that hold cross-packet state:
 // the platform must not consolidate such modules and uses
 // suspend/resume instead of destroy/boot for them (§5).
@@ -477,31 +485,23 @@ func (c *Controller) deploy(req Request, idempotent bool) (*Deployment, bool, er
 			return nil, false, &RejectionError{Reason: fmt.Sprintf("module %q already deployed", req.ModuleName)}
 		}
 	}
-	dep, err := c.placeLocked(req)
+	dep, err := c.placeLocked(req, nil)
 	if err != nil {
-		c.Rejections++
 		jstart := time.Now()
-		c.journalBestEffortLocked(journal.Record{
-			Type: journal.EvReject, ID: req.ModuleName, Reason: err.Error(),
-		})
+		c.commitLocked(journal.Record{Type: journal.EvReject, ID: req.ModuleName, Reason: err.Error()}, nil)
 		c.stageLocked(StageJournalAppend, jstart, "reject record")
 		c.verdictLocked(false)
 		c.endSpanLocked("rejected")
 		return nil, false, err
 	}
 	c.span.SetRef(dep.ID)
-	// Write-ahead: the admission is durable (and, under replication,
-	// acknowledged by the standbys) before it is visible.
 	jstart := time.Now()
-	jerr := c.appendSyncLocked(journal.Record{Type: journal.EvAdmit, Dep: depRecord(dep)})
+	jerr := c.commitLocked(c.placedRecord(journal.EvAdmit, dep), dep)
 	c.stageLocked(StageJournalAppend, jstart, "admit record")
 	if jerr != nil {
 		c.endSpanLocked("error")
 		return nil, false, fmt.Errorf("controller: journal admit: %w", jerr)
 	}
-	c.deployments[dep.ID] = dep
-	c.bumpEpochLocked()
-	c.Placed++
 	c.verdictLocked(true)
 	c.endSpanLocked("admitted")
 	return dep, false, nil
@@ -509,9 +509,15 @@ func (c *Controller) deploy(req Request, idempotent bool) (*Deployment, bool, er
 
 // placeLocked runs the full verification-and-placement pipeline for a
 // request over every healthy platform, returning the placement
-// without inserting it into the deployment set. It is the shared core
-// of Deploy and Failover.
-func (c *Controller) placeLocked(req Request) (*Deployment, error) {
+// without inserting it into the deployment set. It is the decide step
+// of Deploy, Failover, RetryFailed and restart recovery. Recovery
+// passes the journaled record rec (nil otherwise): the security
+// symbolic execution is skipped — its verdict does not depend on
+// placement, and the record says it already passed — while the
+// placement-dependent requirement and policy checks still run, so
+// recovery cannot land a module where the static checks would refuse
+// it.
+func (c *Controller) placeLocked(req Request, rec *journal.DeploymentRecord) (*Deployment, error) {
 	canonStart := time.Now()
 	src, isVM, err := resolveConfig(req)
 	if err != nil {
@@ -521,7 +527,8 @@ func (c *Controller) placeLocked(req Request) (*Deployment, error) {
 	for _, w := range req.Whitelist {
 		ip, err := packet.ParseIP(w)
 		if err != nil {
-			return nil, &RejectionError{Reason: fmt.Sprintf("bad whitelist address %q", w)}
+			msg := fmt.Sprintf("bad whitelist address %q", w)
+			return nil, placeErr(rec, &RejectionError{Reason: msg}, errors.New(msg))
 		}
 		whitelist = append(whitelist, ip)
 	}
@@ -529,7 +536,8 @@ func (c *Controller) placeLocked(req Request) (*Deployment, error) {
 	if strings.TrimSpace(req.Requirements) != "" {
 		reqs, err = policy.ParseAll(req.Requirements)
 		if err != nil {
-			return nil, &RejectionError{Reason: fmt.Sprintf("bad requirements: %v", err)}
+			msg := fmt.Sprintf("bad requirements: %v", err)
+			return nil, placeErr(rec, &RejectionError{Reason: msg}, errors.New(msg))
 		}
 	}
 	c.stageLocked(StageCanonicalize, canonStart, "")
@@ -547,7 +555,7 @@ func (c *Controller) placeLocked(req Request) (*Deployment, error) {
 			lastReason = fmt.Sprintf("platform %s is down", pl)
 			continue
 		}
-		dep, reason, err := c.tryPlatform(req, src, isVM, whitelist, reqs, pl, &timings, steps, deadline)
+		dep, reason, err := c.tryPlatform(req, rec, src, isVM, whitelist, reqs, pl, &timings, steps, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -557,10 +565,24 @@ func (c *Controller) placeLocked(req Request) (*Deployment, error) {
 		}
 		lastReason = reason
 	}
-	if lastReason == "" {
+	switch {
+	case lastReason != "":
+	case rec != nil:
+		lastReason = "no platform available for recovery placement"
+	default:
 		lastReason = "no platform available"
 	}
 	return nil, &RejectionError{Reason: lastReason}
+}
+
+// placeErr words a placement error. Live admission refuses with live;
+// recovery keeps its own wording around cause, because it lands in the
+// journaled EvMigrateFailed reason.
+func placeErr(rec *journal.DeploymentRecord, live, cause error) error {
+	if rec == nil {
+		return live
+	}
+	return fmt.Errorf("controller: recover %s: %v", rec.ID, cause)
 }
 
 // budgetRejection converts a symexec budget exhaustion into the
@@ -575,7 +597,7 @@ func budgetRejection(err error) error {
 
 // tryPlatform attempts a tentative placement on one platform.
 // It returns (nil, reason, nil) when this platform does not fit.
-func (c *Controller) tryPlatform(req Request, src string, isVM bool, whitelist []uint32, reqs []*policy.Requirement, platformName string, timings *Timings, steps int, deadline time.Time) (*Deployment, string, error) {
+func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src string, isVM bool, whitelist []uint32, reqs []*policy.Requirement, platformName string, timings *Timings, steps int, deadline time.Time) (*Deployment, string, error) {
 	addr, ok := c.allocAddrLocked(platformName)
 	if !ok {
 		return nil, fmt.Sprintf("platform %s address pool exhausted", platformName), nil
@@ -586,61 +608,64 @@ func (c *Controller) tryPlatform(req Request, src string, isVM bool, whitelist [
 	src = strings.ReplaceAll(src, "$MODULE_IP", packet.IPString(addr))
 
 	// Security check first: its verdict (sandbox) can change the
-	// deployed configuration.
-	checkStart := time.Now()
-	var mod *click.Router
-	deploySrc := src
-	if !isVM {
+	// deployed configuration. Recovery reuses the journaled decision.
+	var rep *security.Report
+	var sandboxed bool
+	if rec != nil {
+		rep, sandboxed = recoveredReport(rec.Verdict), rec.Sandboxed
+	} else {
+		checkStart := time.Now()
+		var mod *click.Router
+		if !isVM {
+			var err error
+			mod, err = buildConfig(src)
+			if err != nil {
+				return nil, "", &RejectionError{Reason: fmt.Sprintf("bad configuration: %v", err)}
+			}
+		}
 		var err error
-		mod, err = buildConfig(src)
+		rep, err = c.checkedSecurity(security.Input{
+			ModuleID:                 req.ModuleName,
+			Module:                   mod,
+			Addr:                     addr,
+			Trust:                    req.Trust,
+			Whitelist:                whitelist,
+			Transparent:              req.Transparent,
+			BanConnectionlessReplies: c.opts.BanConnectionlessReplies,
+			MaxSteps:                 steps,
+			Deadline:                 deadline,
+			Workers:                  c.opts.workers(),
+			Memo:                     c.memo,
+		}, src)
 		if err != nil {
-			return nil, "", &RejectionError{Reason: fmt.Sprintf("bad configuration: %v", err)}
+			return nil, "", budgetRejection(err)
 		}
-	}
-	rep, err := c.checkedSecurity(security.Input{
-		ModuleID:                 req.ModuleName,
-		Module:                   mod,
-		Addr:                     addr,
-		Trust:                    req.Trust,
-		Whitelist:                whitelist,
-		Transparent:              req.Transparent,
-		BanConnectionlessReplies: c.opts.BanConnectionlessReplies,
-		MaxSteps:                 steps,
-		Deadline:                 deadline,
-		Workers:                  c.opts.workers(),
-		Memo:                     c.memo,
-	}, src)
-	if err != nil {
-		return nil, "", budgetRejection(err)
-	}
-	timings.Check += time.Since(checkStart)
-	if rep.Verdict == security.Rejected {
-		return nil, "", &RejectionError{Reason: "security: " + strings.Join(rep.Reasons, "; ")}
-	}
-	sandboxed := rep.Verdict == security.NeedsSandbox
-	if sandboxed && !isVM {
-		wrapped, err := SandboxConfig(src, whitelist)
-		if err != nil {
-			return nil, "", &RejectionError{Reason: fmt.Sprintf("cannot sandbox: %v", err)}
+		timings.Check += time.Since(checkStart)
+		if rep.Verdict == security.Rejected {
+			return nil, "", &RejectionError{Reason: "security: " + strings.Join(rep.Reasons, "; ")}
 		}
-		deploySrc = wrapped
+		sandboxed = rep.Verdict == security.NeedsSandbox
+	}
+	deploySrc := src
+	var err error
+	switch {
+	case isVM:
+		// x86 VMs are modeled as an opaque mirror responder wrapped by
+		// a separate-VM enforcer.
+		if deploySrc, err = SandboxConfig(StockModules[StockReverseProxy], whitelist); err != nil {
+			return nil, "", placeErr(rec, err, err)
+		}
+	case sandboxed:
+		if deploySrc, err = SandboxConfig(src, whitelist); err != nil {
+			return nil, "", placeErr(rec, &RejectionError{Reason: fmt.Sprintf("cannot sandbox: %v", err)}, err)
+		}
 	}
 
-	// Build the tentative module (x86 VMs are modeled as an opaque
-	// mirror responder wrapped by a separate-VM enforcer).
+	// Build the tentative module.
 	compileStart := time.Now()
-	buildSrc := deploySrc
-	if isVM {
-		var err error
-		buildSrc, err = SandboxConfig(StockModules[StockReverseProxy], whitelist)
-		if err != nil {
-			return nil, "", err
-		}
-		deploySrc = buildSrc
-	}
-	tentative, err := buildConfig(buildSrc)
+	tentative, err := buildConfig(deploySrc)
 	if err != nil {
-		return nil, "", &RejectionError{Reason: fmt.Sprintf("bad configuration: %v", err)}
+		return nil, "", placeErr(rec, &RejectionError{Reason: fmt.Sprintf("bad configuration: %v", err)}, err)
 	}
 	hosted := topology.HostedModule{
 		ID: req.ModuleName, Platform: platformName, Addr: addr, Router: tentative,
@@ -654,7 +679,7 @@ func (c *Controller) tryPlatform(req Request, src string, isVM bool, whitelist [
 	c.stageLocked(StagePlacement, compileStart, "platform "+platformName)
 
 	// Client requirements and operator policy must all hold.
-	checkStart = time.Now()
+	checkStart := time.Now()
 	env := &policy.CheckEnv{
 		Net: net, Map: nm, ClientNet: c.topo.ClientNet,
 		MaxSteps: steps, Deadline: deadline,
@@ -669,15 +694,21 @@ func (c *Controller) tryPlatform(req Request, src string, isVM bool, whitelist [
 	if cerr != nil {
 		// Budget exhaustion aborts the whole deployment: the config
 		// would burn the same budget on every platform.
-		return nil, "", budgetRejection(cerr)
+		berr := budgetRejection(cerr)
+		return nil, "", placeErr(rec, berr, berr)
 	}
 	if reason != "" {
 		return nil, reason, nil
 	}
 
-	c.nextID++
+	// A live placement takes the next ID (placedRecord journals it as
+	// used); recovery keeps the journaled one.
+	id := fmt.Sprintf("pm-%d", c.nextID+1)
+	if rec != nil {
+		id = rec.ID
+	}
 	dep := &Deployment{
-		ID:         fmt.Sprintf("pm-%d", c.nextID),
+		ID:         id,
 		Tenant:     req.Tenant,
 		ModuleName: req.ModuleName,
 		Platform:   platformName,
@@ -694,13 +725,12 @@ func (c *Controller) tryPlatform(req Request, src string, isVM bool, whitelist [
 
 // checkPlacementLocked verifies the client requirements and operator
 // policy against env, a compiled network snapshot that includes the
-// tentative placement on platformName. It is shared by tryPlatform
-// and recoverPlaceLocked so every re-placement path — Deploy,
-// Failover, RetryFailed and restart recovery — enforces the same
-// placement-dependent checks. A non-empty reason means the placement
-// does not fit on this platform (the caller moves to the next one);
-// an error means the symbolic-execution budget is exhausted, which no
-// platform can cure.
+// tentative placement on platformName. Every placement path — Deploy,
+// Failover, RetryFailed and restart recovery — reaches it through
+// tryPlatform, so all enforce the same placement-dependent checks. A
+// non-empty reason means the placement does not fit on this platform
+// (the caller moves to the next one); an error means the
+// symbolic-execution budget is exhausted, which no platform can cure.
 //
 // key, when non-empty, memoizes the outcome in the admission cache:
 // the reason string (including "": fits) is a pure function of the
@@ -794,19 +824,15 @@ func (c *Controller) MarkPlatformDown(name string) []*Deployment {
 		// A standby learns platform health through replicated records.
 		return nil
 	}
-	c.platformDown[name] = true
 	c.recordLocked("platform-down", "", name)
-	c.bumpEpochLocked()
-	// One platform-down record covers the whole sweep: replay folds
-	// the same active→degraded transition.
-	c.journalBestEffortLocked(journal.Record{Type: journal.EvPlatformDown, Platform: name})
+	// The record's active→degraded sweep hits exactly these.
 	var affected []*Deployment
 	for _, d := range c.deployments {
 		if d.Platform == name && d.Status() == StatusActive {
-			d.setStatus(StatusDegraded)
 			affected = append(affected, d)
 		}
 	}
+	c.commitLocked(journal.Record{Type: journal.EvPlatformDown, Platform: name}, nil)
 	sort.Slice(affected, func(i, j int) bool { return affected[i].ID < affected[j].ID })
 	return affected
 }
@@ -819,15 +845,8 @@ func (c *Controller) MarkPlatformUp(name string) {
 	if c.leaderOnlyLocked() != nil {
 		return
 	}
-	delete(c.platformDown, name)
 	c.recordLocked("platform-up", "", name)
-	c.bumpEpochLocked()
-	c.journalBestEffortLocked(journal.Record{Type: journal.EvPlatformUp, Platform: name})
-	for _, d := range c.deployments {
-		if d.Platform == name && d.Status() == StatusDegraded {
-			d.setStatus(StatusActive)
-		}
-	}
+	c.commitLocked(journal.Record{Type: journal.EvPlatformUp, Platform: name}, nil)
 }
 
 // PlatformHealth reports up/down per topology platform.
@@ -871,29 +890,22 @@ func (c *Controller) Failover(name string) (migrated []Migration, failed []*Depl
 	sort.Strings(ids)
 	for _, id := range ids {
 		d := c.deployments[id]
+		// Migrating takes the stale copy off the network, so the
+		// tentative snapshots compiled by placeLocked do not include the
+		// unreachable module.
 		d.setStatus(StatusMigrating)
-		c.beginSpanLocked("failover", id)
-		// Remove the stale copy so the tentative snapshots compiled by
-		// placeLocked do not include the unreachable module.
-		delete(c.deployments, id)
 		c.bumpEpochLocked()
-		nd, err := c.placeLocked(d.req)
+		c.beginSpanLocked("failover", id)
+		nd, err := c.placeLocked(d.req, nil)
 		if err != nil {
-			c.deployments[id] = d
-			d.setStatus(StatusFailed)
-			c.bumpEpochLocked()
-			c.FailedMigrations++
-			c.journalBestEffortLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: err.Error()})
+			c.commitLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: err.Error()}, nil)
 			c.recordLocked("migration-failed", err.Error(), id)
 			c.endSpanLocked("migration-failed")
 			failed = append(failed, d)
 			continue
 		}
 		nd.ID = id
-		c.deployments[id] = nd
-		c.bumpEpochLocked()
-		c.Migrations++
-		c.journalBestEffortLocked(journal.Record{Type: journal.EvMigrate, Dep: depRecord(nd)})
+		c.commitLocked(c.placedRecord(journal.EvMigrate, nd), nd)
 		c.recordLocked("module-failover", d.Platform+" -> "+nd.Platform, id)
 		c.span.SetRef(nd.Platform)
 		c.endSpanLocked("migrated")
@@ -921,21 +933,18 @@ func (c *Controller) RetryFailed() []*Deployment {
 	var recovered []*Deployment
 	for _, id := range ids {
 		d := c.deployments[id]
-		delete(c.deployments, id)
-		c.bumpEpochLocked()
+		// A failed module is already off the network but still holds
+		// its address; migrating frees it for its own re-placement.
+		d.setStatus(StatusMigrating)
 		c.beginSpanLocked("retry", id)
-		nd, err := c.placeLocked(d.req)
+		nd, err := c.placeLocked(d.req, nil)
 		if err != nil {
-			c.deployments[id] = d
-			c.bumpEpochLocked()
+			d.setStatus(StatusFailed)
 			c.endSpanLocked("still-failed")
 			continue
 		}
 		nd.ID = id
-		c.deployments[id] = nd
-		c.bumpEpochLocked()
-		c.Migrations++
-		c.journalBestEffortLocked(journal.Record{Type: journal.EvMigrate, Dep: depRecord(nd)})
+		c.commitLocked(c.placedRecord(journal.EvMigrate, nd), nd)
 		c.span.SetRef(nd.Platform)
 		c.endSpanLocked("recovered")
 		recovered = append(recovered, nd)
@@ -1033,13 +1042,9 @@ func (c *Controller) Kill(id string) error {
 	if _, ok := c.deployments[id]; !ok {
 		return fmt.Errorf("controller: no deployment %q", id)
 	}
-	// Write-ahead: a kill that is not durable is not performed, so a
-	// recovered controller can never resurrect a killed module.
-	if jerr := c.appendSyncLocked(journal.Record{Type: journal.EvKill, ID: id}); jerr != nil {
+	if jerr := c.commitLocked(journal.Record{Type: journal.EvKill, ID: id}, nil); jerr != nil {
 		return fmt.Errorf("controller: journal kill: %w", jerr)
 	}
-	delete(c.deployments, id)
-	c.bumpEpochLocked()
 	return nil
 }
 
@@ -1102,15 +1107,14 @@ func (c *Controller) Get(id string) (*Deployment, bool) {
 }
 
 // hostedLocked lists all hosted modules plus an optional tentative
-// one. Failed deployments are excluded: their modules are not on the
-// network.
+// one. Failed and migrating deployments are excluded: their modules
+// are not on the network.
 func (c *Controller) hostedLocked(extra *topology.HostedModule) []topology.HostedModule {
 	var out []topology.HostedModule
 	for _, d := range c.deployments {
-		if d.Status() == StatusFailed {
-			continue
+		if d.onNetwork() {
+			out = append(out, d.module)
 		}
-		out = append(out, d.module)
 	}
 	if extra != nil {
 		out = append(out, *extra)
@@ -1119,7 +1123,8 @@ func (c *Controller) hostedLocked(extra *topology.HostedModule) []topology.Hoste
 }
 
 // allocAddrLocked picks the lowest free host address in the
-// platform's pool, so addresses freed by Kill are reused.
+// platform's pool, so addresses freed by Kill are reused. A failed
+// deployment keeps its address; a migrating one has released it.
 func (c *Controller) allocAddrLocked(platform string) (uint32, bool) {
 	node := c.topo.Node(platform)
 	if node == nil {
@@ -1128,7 +1133,7 @@ func (c *Controller) allocAddrLocked(platform string) (uint32, bool) {
 	lo, hi := node.Pool.Range()
 	used := make(map[uint32]bool)
 	for _, d := range c.deployments {
-		if d.Platform == platform {
+		if d.Platform == platform && d.Status() != StatusMigrating {
 			used[d.Addr] = true
 		}
 	}

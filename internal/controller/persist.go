@@ -1,6 +1,6 @@
-// Controller persistence and restart recovery: the controller
-// journals every deployment lifecycle transition (admit, reject,
-// migrate, kill, platform health) through the Journal interface, and
+// Controller persistence and restart recovery: every mutation decides
+// a journal record, commits it through the Journal interface and
+// applies it with the one transition function (applyLocked), and
 // Restore rebuilds a controller from the folded journal state —
 // re-attaching to platforms that still report the module and
 // re-running the placement step (platform choice plus the
@@ -12,12 +12,9 @@ package controller
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/in-net/innet/internal/journal"
-	"github.com/in-net/innet/internal/packet"
-	"github.com/in-net/innet/internal/policy"
 	"github.com/in-net/innet/internal/security"
 	"github.com/in-net/innet/internal/topology"
 )
@@ -25,8 +22,9 @@ import (
 // Journal receives one record per controller state transition.
 // *journal.Store implements it; nil disables persistence. Admission
 // and kill records are write-ahead (the operation fails if the append
-// does); the rest are best-effort with the first failure remembered
-// by JournalErr.
+// does) and go through AppendSync(journal.Record) error when the
+// journal has one, as the replication node does; the rest are
+// best-effort with the first failure remembered by JournalErr.
 type Journal interface {
 	Append(journal.Record) error
 }
@@ -47,25 +45,127 @@ func (c *Controller) JournalErr() error {
 	return c.journalErr
 }
 
-// appendLocked journals one record, stamping the ID counter so a
-// recovered controller never reissues a deployment ID.
-func (c *Controller) appendLocked(r journal.Record) error {
-	if c.journal == nil {
-		return nil
+// commitLocked is how every mutation ends once its decide step has
+// produced rec (and, for EvAdmit/EvMigrate, the placed deployment d):
+// journal the record, then apply it. Whether the append is write-ahead
+// is decided here, by record type. An admission or kill that is not
+// durable (and, under replication, acknowledged by the standbys via
+// the journal's AppendSync) fails and is not applied, so a recovered
+// controller never loses an admitted module or resurrects a killed
+// one. Every other record is best-effort: dropping a status flip is
+// recoverable (recovery re-derives health from platforms), so the
+// transition applies and the first failure is kept for JournalErr.
+func (c *Controller) commitLocked(rec journal.Record, d *Deployment) error {
+	// Stamp the ID counter so a recovered controller never reissues a
+	// deployment ID.
+	rec.NextID = max(rec.NextID, c.nextID)
+	if c.journal != nil {
+		writeAhead := rec.Type == journal.EvAdmit || rec.Type == journal.EvKill
+		var err error
+		if sj, ok := c.journal.(interface{ AppendSync(journal.Record) error }); ok && writeAhead {
+			err = sj.AppendSync(rec)
+		} else {
+			err = c.journal.Append(rec)
+		}
+		if err != nil && writeAhead {
+			return err
+		}
+		if err != nil && c.journalErr == nil {
+			c.journalErr = err
+		}
 	}
-	r.NextID = c.nextID
-	return c.journal.Append(r)
+	c.applyLocked(rec, d)
+	return nil
 }
 
-// journalBestEffortLocked appends a record, remembering the first
-// failure instead of failing the state transition: dropping a status
-// flip is recoverable (recovery re-derives health from platforms),
-// losing an admission or kill is not — those use appendLocked
-// directly and propagate.
-func (c *Controller) journalBestEffortLocked(r journal.Record) {
-	if err := c.appendLocked(r); err != nil && c.journalErr == nil {
-		c.journalErr = err
+// placedRecord is the record of a live placement. Deploy, Failover and
+// RetryFailed each use up one deployment ID — a migration keeps its
+// old ID but still consumes pm-N — so NextID counts it; a recovery
+// re-placement uses none and commits a plain record instead.
+func (c *Controller) placedRecord(typ journal.EventType, d *Deployment) journal.Record {
+	return journal.Record{Type: typ, Dep: depRecord(d), NextID: c.nextID + 1}
+}
+
+// applyLocked is the controller's transition function: what one
+// journal record does to the in-memory state. The live mutators (after
+// commitLocked's append), the standby (ApplyRecord) and restart
+// recovery all go through it, and it mirrors journal.State.Apply —
+// the on-disk fold the tests use as the oracle. d is the deployment
+// an EvAdmit/EvMigrate installs: the one the leader just placed, or
+// one rebuilt from the record.
+func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
+	if rec.NextID > c.nextID {
+		c.nextID = rec.NextID
 	}
+	switch rec.Type {
+	case journal.EvAdmit:
+		c.deployments[d.ID] = d
+		c.Placed++
+	case journal.EvMigrate:
+		c.deployments[d.ID] = d
+		c.Migrations++
+	case journal.EvMigrateFailed:
+		if d, ok := c.deployments[rec.ID]; ok {
+			d.setStatus(StatusFailed)
+		}
+		c.FailedMigrations++
+	case journal.EvStatus:
+		if d, ok := c.deployments[rec.ID]; ok {
+			d.setStatus(parseStatus(rec.Status))
+		}
+	case journal.EvKill:
+		delete(c.deployments, rec.ID)
+	case journal.EvPlatformDown:
+		c.platformDown[rec.Platform] = true
+		for _, d := range c.deployments {
+			if d.Platform == rec.Platform && d.Status() == StatusActive {
+				d.setStatus(StatusDegraded)
+			}
+		}
+	case journal.EvPlatformUp:
+		delete(c.platformDown, rec.Platform)
+		for _, d := range c.deployments {
+			if d.Platform == rec.Platform && d.Status() == StatusDegraded {
+				d.setStatus(StatusActive)
+			}
+		}
+	case journal.EvReject:
+		c.Rejections++
+		return
+	default:
+		// EvTerm: leadership bookkeeping lives in the journal state.
+		return
+	}
+	c.bumpEpochLocked()
+}
+
+// loadStateLocked replaces the controller's state with a folded
+// journal state: the bulk form of applyLocked, shared by ResetToState
+// (standby snapshot resync) and Restore (restart recovery). It runs no
+// placement and journals nothing; on error nothing changes.
+func (c *Controller) loadStateLocked(st *journal.State) error {
+	deployments := make(map[string]*Deployment, len(st.Deployments))
+	for _, id := range st.IDs() {
+		d, err := deploymentFromRecord(st.Deployments[id])
+		if err != nil {
+			return err
+		}
+		deployments[id] = d
+	}
+	c.deployments = deployments
+	c.platformDown = make(map[string]bool)
+	for name, down := range st.PlatformDown {
+		if down {
+			c.platformDown[name] = true
+		}
+	}
+	c.nextID = st.NextID
+	c.Placed = st.Placed
+	c.Rejections = st.Rejections
+	c.Migrations = st.Migrations
+	c.FailedMigrations = st.FailedMigrations
+	c.bumpEpochLocked()
+	return nil
 }
 
 // depRecord renders a deployment as its journal record.
@@ -162,107 +262,6 @@ func deploymentFromRecord(rec *journal.DeploymentRecord) (*Deployment, error) {
 	return d, nil
 }
 
-// recoverPlaceLocked re-runs the placement step for a journaled
-// deployment whose platform vanished: pick a healthy platform with a
-// free address, substitute $MODULE_IP, re-apply the admission-time
-// sandbox decision and build the config. The placement-dependent
-// checks — client requirements and operator policy, which tryPlatform
-// verifies per platform against the tentative topology — ARE re-run,
-// so recovery cannot land a module where the static checks would have
-// refused it. Only the security symbolic execution is skipped: its
-// verdict does not depend on where the module is placed, and the
-// journal records it already passed (the sandbox decision travels
-// with the record).
-func (c *Controller) recoverPlaceLocked(rec *journal.DeploymentRecord) (*Deployment, error) {
-	req := requestFromRecord(rec)
-	src, isVM, err := resolveConfig(req)
-	if err != nil {
-		return nil, err
-	}
-	var whitelist []uint32
-	for _, w := range rec.Whitelist {
-		ip, perr := packet.ParseIP(w)
-		if perr != nil {
-			return nil, fmt.Errorf("controller: recover %s: bad whitelist address %q", rec.ID, w)
-		}
-		whitelist = append(whitelist, ip)
-	}
-	var reqs []*policy.Requirement
-	if strings.TrimSpace(req.Requirements) != "" {
-		reqs, err = policy.ParseAll(req.Requirements)
-		if err != nil {
-			return nil, fmt.Errorf("controller: recover %s: bad requirements: %v", rec.ID, err)
-		}
-	}
-	steps, deadline := c.opts.admissionBudget()
-	var lastReason string
-	for _, pl := range c.topo.Platforms() {
-		if c.platformDown[pl] {
-			lastReason = fmt.Sprintf("platform %s is down", pl)
-			continue
-		}
-		addr, ok := c.allocAddrLocked(pl)
-		if !ok {
-			lastReason = fmt.Sprintf("platform %s address pool exhausted", pl)
-			continue
-		}
-		deploySrc := strings.ReplaceAll(src, "$MODULE_IP", packet.IPString(addr))
-		switch {
-		case isVM:
-			deploySrc, err = SandboxConfig(StockModules[StockReverseProxy], whitelist)
-		case rec.Sandboxed:
-			deploySrc, err = SandboxConfig(deploySrc, whitelist)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("controller: recover %s: %v", rec.ID, err)
-		}
-		router, berr := buildConfig(deploySrc)
-		if berr != nil {
-			return nil, fmt.Errorf("controller: recover %s: %v", rec.ID, berr)
-		}
-		hosted := topology.HostedModule{
-			ID: rec.ModuleName, Platform: pl, Addr: addr, Router: router,
-		}
-		net, nm, cerr := c.topo.Compile(c.hostedLocked(&hosted))
-		if cerr != nil {
-			lastReason = fmt.Sprintf("platform %s: %v", pl, cerr)
-			continue
-		}
-		env := &policy.CheckEnv{
-			Net: net, Map: nm, ClientNet: c.topo.ClientNet,
-			MaxSteps: steps, Deadline: deadline,
-		}
-		pkey := placementKey(pl, addr, deploySrc, req.Requirements, steps)
-		reason, cherr := c.checkPlacementLocked(pl, reqs, env, pkey)
-		if cherr != nil {
-			return nil, fmt.Errorf("controller: recover %s: %v", rec.ID, budgetRejection(cherr))
-		}
-		if reason != "" {
-			lastReason = reason
-			continue
-		}
-		d := &Deployment{
-			ID:         rec.ID,
-			Tenant:     rec.Tenant,
-			ModuleName: rec.ModuleName,
-			Platform:   pl,
-			Addr:       addr,
-			Sandboxed:  rec.Sandboxed,
-			Security:   recoveredReport(rec.Verdict),
-			Config:     deploySrc,
-			req:        req,
-			module:     hosted,
-		}
-		d.setStatus(StatusActive)
-		d.classifyPipeline()
-		return d, nil
-	}
-	if lastReason == "" {
-		lastReason = "no platform available for recovery placement"
-	}
-	return nil, &RejectionError{Reason: lastReason}
-}
-
 // Inventory answers, during recovery, whether a platform still
 // reports a module at an address — the re-attach probe. A nil
 // Inventory re-attaches everything as journaled.
@@ -303,67 +302,39 @@ func Restore(topo *topology.Topology, operatorPolicy string, opts Options, st *j
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.journal = j
-	c.nextID = st.NextID
-	c.Placed = st.Placed
-	c.Rejections = st.Rejections
-	c.Migrations = st.Migrations
-	c.FailedMigrations = st.FailedMigrations
-	for name, down := range st.PlatformDown {
-		if down {
-			c.platformDown[name] = true
-		}
+	if err := c.loadStateLocked(st); err != nil {
+		return nil, nil, err
 	}
 
 	report := &RecoveryReport{}
-	// Pass 1: re-attach everything still present, so its addresses
-	// are occupied before any re-placement allocates.
+	// Pass 1: everything still present is re-attached as loaded, so its
+	// addresses are occupied before any re-placement allocates; a
+	// vanished deployment turns migrating, off the network until pass 2
+	// re-places it.
 	var vanished []string
 	for _, id := range st.IDs() {
-		rec := st.Deployments[id]
-		if rec.Status == journal.StatusFailed {
-			d, derr := deploymentFromRecord(rec)
-			if derr != nil {
-				return nil, nil, derr
-			}
-			c.deployments[id] = d
-			c.bumpEpochLocked()
+		d := c.deployments[id]
+		switch {
+		case d.Status() == StatusFailed:
 			report.Failed = append(report.Failed, id)
-			continue
-		}
-		if inv != nil && !inv.HasModule(rec.Platform, rec.Addr) {
+		case inv != nil && !inv.HasModule(d.Platform, d.Addr):
+			d.setStatus(StatusMigrating)
 			vanished = append(vanished, id)
-			continue
+		default:
+			report.Reattached = append(report.Reattached, id)
 		}
-		d, derr := deploymentFromRecord(rec)
-		if derr != nil {
-			return nil, nil, derr
-		}
-		c.deployments[id] = d
-		c.bumpEpochLocked()
-		report.Reattached = append(report.Reattached, id)
 	}
-	// Pass 2: placement-only recovery for vanished platforms.
+	c.bumpEpochLocked()
+	// Pass 2: placement-only recovery for vanished platforms. A module
+	// that fits nowhere is kept, failed: capacity may return.
 	for _, id := range vanished {
-		rec := st.Deployments[id]
-		d, perr := c.recoverPlaceLocked(rec)
+		d, perr := c.placeLocked(c.deployments[id].req, st.Deployments[id])
 		if perr != nil {
-			// Keep the deployment, failed: capacity may return.
-			d2, derr := deploymentFromRecord(rec)
-			if derr != nil {
-				return nil, nil, derr
-			}
-			d2.setStatus(StatusFailed)
-			c.deployments[id] = d2
-			c.bumpEpochLocked()
-			c.FailedMigrations++
-			c.journalBestEffortLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: perr.Error()})
+			c.commitLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: perr.Error()}, nil)
 			report.Failed = append(report.Failed, id)
 			continue
 		}
-		c.deployments[id] = d
-		c.bumpEpochLocked()
-		c.Migrations++
-		c.journalBestEffortLocked(journal.Record{Type: journal.EvMigrate, Dep: depRecord(d)})
+		c.commitLocked(journal.Record{Type: journal.EvMigrate, Dep: depRecord(d)}, d)
 		report.Replaced = append(report.Replaced, id)
 	}
 	sort.Strings(report.Failed)

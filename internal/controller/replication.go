@@ -81,27 +81,6 @@ func (c *Controller) leaderOnlyLocked() error {
 	return nil
 }
 
-// syncJournal is the replication node's journal facade: AppendSync
-// blocks until the record is durable on the standbys too, so an
-// admission acked to a client can never be lost by a leader crash.
-type syncJournal interface {
-	AppendSync(journal.Record) error
-}
-
-// appendSyncLocked journals a strict (write-ahead) record. When the
-// attached journal is a replication node it waits for standby
-// acknowledgement; otherwise it is a plain append.
-func (c *Controller) appendSyncLocked(r journal.Record) error {
-	if c.journal == nil {
-		return nil
-	}
-	r.NextID = c.nextID
-	if sj, ok := c.journal.(syncJournal); ok {
-		return sj.AppendSync(r)
-	}
-	return c.journal.Append(r)
-}
-
 // sameRequest reports whether two deployment requests are
 // byte-identical — the retry-equality test behind DeployIdempotent.
 func sameRequest(a, b Request) bool {
@@ -135,69 +114,22 @@ func (c *Controller) DeployIdempotent(req Request) (*Deployment, bool, error) {
 // ApplyRecord folds one replicated journal record into the live
 // controller — the standby catch-up path. The record has already been
 // ingested into the standby's journal store, so nothing is
-// re-journaled here; this mirrors exactly the in-memory transition the
-// leader made when it appended the record. Deployments are rebuilt
-// with deploymentFromRecord (no symbolic re-analysis — the leader's
-// admission already paid for it, and the verdict travels with the
-// record).
+// re-journaled here; applyLocked makes exactly the in-memory
+// transition the leader made when it committed the record. Deployments
+// are rebuilt with deploymentFromRecord (no symbolic re-analysis — the
+// leader's admission already paid for it, and the verdict travels with
+// the record).
 func (c *Controller) ApplyRecord(r journal.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.NextID > c.nextID {
-		c.nextID = r.NextID
-	}
-	switch r.Type {
-	case journal.EvAdmit:
-		d, err := deploymentFromRecord(r.Dep)
-		if err != nil {
+	var d *Deployment
+	if r.Type == journal.EvAdmit || r.Type == journal.EvMigrate {
+		var err error
+		if d, err = deploymentFromRecord(r.Dep); err != nil {
 			return err
 		}
-		c.deployments[d.ID] = d
-		c.bumpEpochLocked()
-		c.Placed++
-	case journal.EvMigrate:
-		d, err := deploymentFromRecord(r.Dep)
-		if err != nil {
-			return err
-		}
-		c.deployments[d.ID] = d
-		c.bumpEpochLocked()
-		c.Migrations++
-	case journal.EvMigrateFailed:
-		if d, ok := c.deployments[r.ID]; ok {
-			d.setStatus(StatusFailed)
-			c.bumpEpochLocked()
-		}
-		c.FailedMigrations++
-	case journal.EvReject:
-		c.Rejections++
-	case journal.EvStatus:
-		if d, ok := c.deployments[r.ID]; ok {
-			d.setStatus(parseStatus(r.Status))
-		}
-	case journal.EvKill:
-		delete(c.deployments, r.ID)
-		c.bumpEpochLocked()
-	case journal.EvPlatformDown:
-		c.platformDown[r.Platform] = true
-		c.bumpEpochLocked()
-		for _, d := range c.deployments {
-			if d.Platform == r.Platform && d.Status() == StatusActive {
-				d.setStatus(StatusDegraded)
-			}
-		}
-	case journal.EvPlatformUp:
-		delete(c.platformDown, r.Platform)
-		c.bumpEpochLocked()
-		for _, d := range c.deployments {
-			if d.Platform == r.Platform && d.Status() == StatusDegraded {
-				d.setStatus(StatusActive)
-			}
-		}
-	case journal.EvTerm:
-		// Leadership bookkeeping lives in the journal state; nothing
-		// changes in the deployment set.
 	}
+	c.applyLocked(r, d)
 	return nil
 }
 
@@ -210,26 +142,5 @@ func (c *Controller) ApplyRecord(r journal.Record) error {
 func (c *Controller) ResetToState(st *journal.State) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	deployments := make(map[string]*Deployment, len(st.Deployments))
-	for _, id := range st.IDs() {
-		d, err := deploymentFromRecord(st.Deployments[id])
-		if err != nil {
-			return err
-		}
-		deployments[id] = d
-	}
-	c.deployments = deployments
-	c.nextID = st.NextID
-	c.Placed = st.Placed
-	c.Rejections = st.Rejections
-	c.Migrations = st.Migrations
-	c.FailedMigrations = st.FailedMigrations
-	c.platformDown = make(map[string]bool)
-	for name, down := range st.PlatformDown {
-		if down {
-			c.platformDown[name] = true
-		}
-	}
-	c.bumpEpochLocked()
-	return nil
+	return c.loadStateLocked(st)
 }

@@ -51,11 +51,30 @@ func requireIdenticalJournals(t *testing.T, g *ReplGroup, idx ...int) {
 }
 
 // awaitLeader waits for the group to settle on exactly one live
-// unfenced leader and returns its index.
+// unfenced leader and returns its index, checking that the promoted
+// leader serves from a warm replica of its journal.
 func awaitLeader(t *testing.T, g *ReplGroup) int {
 	t.Helper()
-	waitRepl(t, "a settled leader", func() bool { return g.Leader() >= 0 })
-	return g.Leader()
+	idx := -1
+	waitRepl(t, "a settled leader", func() bool { idx = g.Leader(); return idx >= 0 })
+	requireWarmReplica(t, g.Nodes[idx])
+	return idx
+}
+
+// requireWarmGroup runs requireWarmReplica on every live replica.
+func requireWarmGroup(t *testing.T, g *ReplGroup) {
+	t.Helper()
+	g.mu.Lock()
+	var live []*ReplNode
+	for i, n := range g.Nodes {
+		if !g.crashed[i] {
+			live = append(live, n)
+		}
+	}
+	g.mu.Unlock()
+	for _, n := range live {
+		requireWarmReplica(t, n)
+	}
 }
 
 // Crash the 3-node group's leader mid-deploy: a majority survives, an
@@ -111,6 +130,7 @@ func TestGroupLeaderCrashMidDeployConverges(t *testing.T) {
 	if got := g.Nodes[idx].Store.State().Canonical(); !bytes.Equal(got, want) {
 		t.Errorf("survivor state diverged from uncrashed baseline:\nbaseline:\n%s\nsurvivor:\n%s", want, got)
 	}
+	requireWarmGroup(t, g)
 	requireIdenticalJournals(t, g, idx, other)
 }
 
@@ -142,6 +162,7 @@ func TestGroupFollowerIsolationDoesNotBlockQuorum(t *testing.T) {
 	waitRepl(t, "laggard catch-up", func() bool {
 		return g.Nodes[2].Store.Seq() == g.Nodes[0].Store.Seq()
 	})
+	requireWarmGroup(t, g)
 	if got := g.Nodes[0].Store.State().Canonical(); !bytes.Equal(got, want) {
 		t.Errorf("state diverged from baseline:\nbaseline:\n%s\ngot:\n%s", want, got)
 	}
@@ -166,6 +187,7 @@ func TestGroupFollowerLagCatchesUp(t *testing.T) {
 		return g.Nodes[2].Store.Seq() == g.Nodes[0].Store.Seq() &&
 			g.Nodes[1].Store.Seq() == g.Nodes[0].Store.Seq()
 	})
+	requireWarmGroup(t, g)
 	if got := g.Nodes[0].Store.State().Canonical(); !bytes.Equal(got, want) {
 		t.Errorf("state diverged from baseline:\nbaseline:\n%s\ngot:\n%s", want, got)
 	}
@@ -211,6 +233,7 @@ func TestGroupMinorityIsolatedLeaderFencesNoFork(t *testing.T) {
 		want := g.Nodes[idx].Store.Seq()
 		return g.Nodes[0].Store.Seq() == want && g.Nodes[3-idx].Store.Seq() == want
 	})
+	requireWarmGroup(t, g)
 	for i := 0; i < 3; i++ {
 		if got := g.Nodes[i].Store.State().Canonical(); !bytes.Equal(got, want) {
 			t.Errorf("replica %d diverged from unfaulted baseline:\nbaseline:\n%s\ngot:\n%s", i, want, got)
@@ -256,6 +279,7 @@ func TestGroupSymmetricPartitionFiveNodes(t *testing.T) {
 		idx = g.Leader()
 		return idx >= 2
 	})
+	requireWarmReplica(t, g.Nodes[idx])
 	for i := 2; i < n; i++ {
 		if _, err := g.Nodes[idx].Ctl.Deploy(replRequest(i)); err != nil {
 			t.Fatalf("deploy %d on majority side: %v", i, err)
@@ -272,6 +296,7 @@ func TestGroupSymmetricPartitionFiveNodes(t *testing.T) {
 		}
 		return true
 	})
+	requireWarmGroup(t, g)
 	for i := 0; i < 5; i++ {
 		if got := g.Nodes[i].Store.State().Canonical(); !bytes.Equal(got, want) {
 			t.Errorf("replica %d diverged from unfaulted baseline", i)
@@ -317,6 +342,7 @@ func TestGroupRollingRestartsConverge(t *testing.T) {
 	waitRepl(t, "follower 1 rejoin", func() bool {
 		return g.Nodes[1].Store.Seq() == g.Nodes[0].Store.Seq()
 	})
+	requireWarmGroup(t, g)
 
 	// Roll follower 2.
 	g.Crash(2)
@@ -329,6 +355,7 @@ func TestGroupRollingRestartsConverge(t *testing.T) {
 	waitRepl(t, "follower 2 rejoin", func() bool {
 		return g.Nodes[2].Store.Seq() == g.Nodes[0].Store.Seq()
 	})
+	requireWarmGroup(t, g)
 
 	// Roll the leader: crash, let the group elect, keep serving, then
 	// bring the old leader back as a follower.
@@ -352,6 +379,7 @@ func TestGroupRollingRestartsConverge(t *testing.T) {
 	if g.Nodes[0].Node.Role() == controller.RoleLeader {
 		t.Fatal("restarted old leader came back as leader")
 	}
+	requireWarmGroup(t, g)
 
 	for i := 0; i < 3; i++ {
 		if got := g.Nodes[i].Store.State().Canonical(); !bytes.Equal(got, want) {
@@ -393,4 +421,5 @@ func TestGroupMinorityFragmentCannotElect(t *testing.T) {
 		return g.Nodes[3].Store.Seq() == g.Nodes[0].Store.Seq() &&
 			g.Nodes[4].Store.Seq() == g.Nodes[0].Store.Seq()
 	})
+	requireWarmGroup(t, g)
 }

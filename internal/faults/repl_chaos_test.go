@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -54,6 +55,60 @@ func waitRepl(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// requireWarmReplica asserts that what a replica's controller serves
+// from — its deployments and decision counters — equals its journal's
+// folded state. A standby applies each record after ingesting it and
+// outside the node lock, so this polls to a deadline.
+func requireWarmReplica(t *testing.T, n *ReplNode) {
+	t.Helper()
+	var ctl, want string
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if ctl, want = renderController(t, n), renderState(n.Store.State()); ctl == want {
+			return
+		}
+	}
+	t.Fatalf("%s: controller state diverged from its journal:\n--- journal ---\n%s--- controller ---\n%s", n.Name, want, ctl)
+}
+
+// renderController renders a replica's controller in renderState's
+// format. The counter fields are unsynchronized, so they are read
+// through the node's metrics registry, whose callbacks take the
+// controller lock.
+func renderController(t *testing.T, n *ReplNode) string {
+	t.Helper()
+	var b strings.Builder
+	for _, d := range n.Ctl.Deployments() {
+		fmt.Fprintf(&b, "%s %s/%s %s addr=%d sandboxed=%t %s %q\n",
+			d.ID, d.Tenant, d.ModuleName, d.Platform, d.Addr, d.Sandboxed, d.Status(), d.Config)
+	}
+	var prom bytes.Buffer
+	if err := n.reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	v := make(map[string]string)
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok {
+			v[name] = val
+		}
+	}
+	fmt.Fprintf(&b, "placed=%s rejections=%s migrations=%s failed=%s\n",
+		v["innet_controller_placed_total"], v["innet_controller_rejections_total"],
+		v["innet_controller_migrations_total"], v["innet_controller_failed_migrations_total"])
+	return b.String()
+}
+
+func renderState(st *journal.State) string {
+	var b strings.Builder
+	for _, id := range st.IDs() {
+		d := st.Deployments[id]
+		fmt.Fprintf(&b, "%s %s/%s %s addr=%d sandboxed=%t %s %q\n",
+			d.ID, d.Tenant, d.ModuleName, d.Platform, d.Addr, d.Sandboxed, d.Status, d.Config)
+	}
+	fmt.Fprintf(&b, "placed=%d rejections=%d migrations=%d failed=%d\n",
+		st.Placed, st.Rejections, st.Migrations, st.FailedMigrations)
+	return b.String()
 }
 
 // baselineCanonical runs the workload on an unfaulted pair and
@@ -169,6 +224,7 @@ func TestReplLeaderCrashMidDeployConvergesWithBaseline(t *testing.T) {
 	if p.Leader() != p.B {
 		t.Fatal("survivor is not the current leader")
 	}
+	requireWarmReplica(t, p.B)
 
 	// Replay the ambiguous deploy: idempotent, same deployment.
 	d, reused, err := p.B.Ctl.DeployIdempotent(replRequest(2))
@@ -194,6 +250,7 @@ func TestReplLeaderCrashMidDeployConvergesWithBaseline(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("survivor state diverged from uncrashed baseline:\nbaseline:\n%s\nsurvivor:\n%s", want, got)
 	}
+	requireWarmReplica(t, p.B)
 }
 
 // Partition the leader from its standby (clients still reach both):
@@ -233,6 +290,7 @@ func TestReplPartitionFencesLeaderAndConverges(t *testing.T) {
 	waitRepl(t, "standby auto-promotion", func() bool {
 		return p.B.Node.Role() == controller.RoleLeader
 	})
+	requireWarmReplica(t, p.B)
 	if _, err := p.B.Ctl.Deploy(replRequest(2)); err != nil {
 		t.Fatalf("retry on new leader: %v", err)
 	}
@@ -241,13 +299,18 @@ func TestReplPartitionFencesLeaderAndConverges(t *testing.T) {
 
 	// The new leader resynchronizes the deposed one; its journaled-
 	// but-unacknowledged deploy 2 is discarded for the survivor's.
+	// That deploy is canonically identical to the survivor's, so only
+	// the sequence numbers show the resync has happened.
 	waitRepl(t, "deposed leader resync", func() bool {
-		return bytes.Equal(p.A.Store.State().Canonical(), p.B.Store.State().Canonical())
+		return p.A.Store.Seq() == p.B.Store.Seq() &&
+			bytes.Equal(p.A.Store.State().Canonical(), p.B.Store.State().Canonical())
 	})
 	got := p.B.Store.State().Canonical()
 	if !bytes.Equal(got, want) {
 		t.Errorf("converged state diverged from unfaulted baseline:\nbaseline:\n%s\nconverged:\n%s", want, got)
 	}
+	requireWarmReplica(t, p.A)
+	requireWarmReplica(t, p.B)
 	// And the fence holds after the heal: direct appends on the
 	// deposed node still fail.
 	if err := p.A.Node.Append(journal.Record{Type: journal.EvReject, Reason: "probe"}); !errors.Is(err, replication.ErrFenced) {
@@ -277,6 +340,8 @@ func TestReplStandbyLagCatchesUp(t *testing.T) {
 	if got := p.A.Store.State().Canonical(); !bytes.Equal(got, want) {
 		t.Errorf("lagged run diverged from baseline:\nbaseline:\n%s\ngot:\n%s", want, got)
 	}
+	requireWarmReplica(t, p.A)
+	requireWarmReplica(t, p.B)
 	if p.B.Ctl.Deployments(); len(p.B.Ctl.Deployments()) != n {
 		t.Errorf("standby holds %d deployments, want %d", len(p.B.Ctl.Deployments()), n)
 	}

@@ -128,6 +128,8 @@ func (g *ReplGroup) bootReplica(i int, dir string, role controller.Role, listen 
 	rec := telemetry.NewRecorder(0)
 	ctl.SetRecorder(rec)
 	store.SetRecorder(rec)
+	reg := telemetry.New()
+	ctl.AttachTelemetry(reg, nil)
 	node, err := replication.NewNode(store, ctl, replication.Config{
 		Role:            role,
 		ListenAddr:      listen,
@@ -154,7 +156,7 @@ func (g *ReplGroup) bootReplica(i int, dir string, role controller.Role, listen 
 		store.Close()
 		return nil, err
 	}
-	return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec}, nil
+	return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec, reg: reg}, nil
 }
 
 // wirePeers gives every live replica every other replica's address.

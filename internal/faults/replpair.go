@@ -25,6 +25,10 @@ type ReplNode struct {
 	// replication events all land here, so chaos tests can assert the
 	// fault sequence a postmortem would show.
 	Rec *telemetry.Recorder
+	// reg carries the controller's metrics; its counter callbacks read
+	// the decision counters under the controller lock, which the
+	// warm-replica checks need while the stream is applying records.
+	reg *telemetry.Registry
 }
 
 // ReplPairOptions shapes a replicated pair. Zero values get
@@ -91,6 +95,8 @@ func NewReplPair(opts ReplPairOptions) (*ReplPair, error) {
 		rec := telemetry.NewRecorder(0)
 		ctl.SetRecorder(rec)
 		store.SetRecorder(rec)
+		reg := telemetry.New()
+		ctl.AttachTelemetry(reg, nil)
 		node, err := replication.NewNode(store, ctl, replication.Config{
 			Role:           role,
 			ListenAddr:     "127.0.0.1:0",
@@ -116,7 +122,7 @@ func NewReplPair(opts ReplPairOptions) (*ReplPair, error) {
 			store.Close()
 			return nil, err
 		}
-		return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec}, nil
+		return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec, reg: reg}, nil
 	}
 	var err error
 	if p.B, err = mk("standby", opts.StandbyDir, controller.RoleStandby); err != nil {

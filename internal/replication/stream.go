@@ -133,6 +133,11 @@ func (n *Node) serve(conn net.Conn) {
 
 	n.mu.Lock()
 	switch {
+	case n.closed:
+		// Close already shut the registered ingests; a stream registered
+		// now would never be closed and Close would wait on it forever.
+		n.mu.Unlock()
+		return
 	case h.Term < n.term:
 		// A stale leader (or a peer that fell behind a promotion it
 		// has not heard about). Refuse; our term in the reply fences it.
