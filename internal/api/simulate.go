@@ -42,17 +42,17 @@ func NewSimulator(platformNames []string) *Simulator {
 		rules:     make(map[uint32]*vswitch.Rule),
 		byAddr:    make(map[uint32]string),
 	}
+	// out is bound once: it reads s.emit when a module transmits.
+	out := func(iface int, pk *packet.Packet) {
+		if s.emit != nil {
+			s.emit(iface, pk)
+		}
+	}
 	for _, name := range platformNames {
 		p := platform.New(s.sim, platform.DefaultModel(), 16*1024)
 		s.platforms[name] = p
 		sw := vswitch.New()
-		sw.ToModule = func(_ uint32, pk *packet.Packet) {
-			p.Deliver(pk, func(iface int, out *packet.Packet) {
-				if s.emit != nil {
-					s.emit(iface, out)
-				}
-			})
-		}
+		sw.ToModule = func(_ uint32, pk *packet.Packet) { p.Deliver(pk, out) }
 		s.switches[name] = sw
 	}
 	return s

@@ -6,10 +6,7 @@
 // harnesses are reproducible run to run.
 package netsim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Time is virtual time in nanoseconds since simulation start.
 type Time = int64
@@ -28,29 +25,76 @@ func Seconds(s float64) Time { return Time(s * 1e9) }
 // Millis converts milliseconds to Time.
 func Millis(ms float64) Time { return Time(ms * 1e6) }
 
+// event is one scheduled callback, fn(arg). At and After store their
+// func() as arg behind callFunc. A func value and a pointer each fit an
+// interface word without boxing, so scheduling allocates nothing beyond
+// heap growth.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
 }
 
+// before orders events by (at, seq). seq is unique, so the order is
+// total and dispatch is deterministic.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+func callFunc(arg any) { arg.(func())() }
+
+// eventHeap is a binary min-heap of events, typed so that push and pop
+// neither box an event nor call through an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event; the heap must not be
+// empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // the vacated slot must not keep fn and arg alive
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Sim is one simulation instance. Not safe for concurrent use — the
@@ -76,16 +120,23 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn at absolute time t (clamped to now).
-func (s *Sim) At(t Time, fn func()) {
+func (s *Sim) At(t Time, fn func()) { s.at(t, callFunc, fn) }
+
+// After schedules fn after delay d.
+func (s *Sim) After(d Time, fn func()) { s.at(s.now+d, callFunc, fn) }
+
+// AfterArg schedules fn(arg) after delay d. It is the closure-free arm
+// for hot paths: with fn a method value bound once and arg a pointer,
+// scheduling allocates nothing.
+func (s *Sim) AfterArg(d Time, fn func(any), arg any) { s.at(s.now+d, fn, arg) }
+
+func (s *Sim) at(t Time, fn func(any), arg any) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
+	s.events.push(event{at: t, seq: s.seq, fn: fn, arg: arg})
 }
-
-// After schedules fn after delay d.
-func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // Run dispatches events until none remain.
 func (s *Sim) Run() {
@@ -105,10 +156,10 @@ func (s *Sim) RunUntil(t Time) {
 }
 
 func (s *Sim) step() {
-	e := heap.Pop(&s.events).(event)
+	e := s.events.pop()
 	s.now = e.at
 	s.Executed++
-	e.fn()
+	e.fn(e.arg)
 }
 
 // Pending returns the number of queued events.

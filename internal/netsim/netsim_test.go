@@ -206,6 +206,123 @@ func TestSecondsMillis(t *testing.T) {
 	}
 }
 
+type counter struct{ n int }
+
+func (c *counter) add(arg any) { c.n += *arg.(*int) }
+
+// TestAfterArgDoesNotAllocate: a bound method value plus a pointer
+// argument schedule and dispatch without allocating once the heap has
+// grown.
+func TestAfterArgDoesNotAllocate(t *testing.T) {
+	s := New(1)
+	c := &counter{}
+	fn, one := c.add, 1
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			s.AfterArg(Time(i%3), fn, &one)
+		}
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("AfterArg + Run allocated %.1f times per run", allocs)
+	}
+	if c.n != 8*101 {
+		t.Fatalf("dispatched %d events, want %d", c.n, 8*101)
+	}
+}
+
+// FuzzEventOrder checks the dispatch order against a reference model:
+// a list of pending events in scheduling order, from which the earliest
+// timestamp is taken first and ties go to the one scheduled first — a
+// stable sort by (at, seq). ops drives random interleavings of At,
+// After and AfterArg with equal timestamps, times in the past (clamped
+// to now), events scheduled from inside dispatch, and RunUntil
+// boundaries.
+func FuzzEventOrder(f *testing.F) {
+	f.Add(int64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(int64(2), []byte{0x10, 0x10, 0x10, 0x43, 0x21, 0x05, 0x17, 0x30, 0x10, 0x02})
+	f.Add(int64(3), []byte{0x33, 0x33, 0x00, 0x00, 0x00, 0x24, 0x24, 0x13, 0x35, 0x35, 0x35, 0x11})
+	f.Add(int64(4), []byte{0x41, 0x02, 0x42, 0x03, 0x44, 0x1f, 0x2f, 0x3f, 0x4f, 0x0f, 0x00})
+	f.Add(int64(5), []byte{0x50, 0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58, 0x59})
+	f.Add(int64(6), []byte{0x10, 0x12, 0x24, 0x51, 0x83, 0x90, 0x55, 0xa4, 0x84, 0x5f, 0x81, 0x02})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		s := New(seed)
+		type ref struct {
+			at Time
+			id int
+		}
+		var pending []ref // the model, in scheduling order
+		ids := 0
+		var next int // next unread op
+		var schedule func(op byte)
+		fire := func(id int) {
+			if len(pending) == 0 {
+				t.Fatalf("event %d fired with nothing pending in the model", id)
+			}
+			best := 0
+			for i, r := range pending {
+				if r.at < pending[best].at {
+					best = i
+				}
+			}
+			want := pending[best]
+			pending = append(pending[:best], pending[best+1:]...)
+			if want.id != id || want.at != s.Now() {
+				t.Fatalf("dispatched event %d at %d, model expects %d at %d", id, s.Now(), want.id, want.at)
+			}
+			// Some events schedule more from inside dispatch.
+			if next < len(ops) && ops[next]&0x80 != 0 {
+				next++
+				schedule(ops[next-1] & 0x7f)
+			}
+		}
+		handler := func(arg any) { fire(*arg.(*int)) }
+		schedule = func(op byte) {
+			id := ids
+			ids++
+			d := Time(op&0x0f) - 4 // negative delays exercise clamping
+			at := s.Now() + d
+			if at < s.Now() {
+				at = s.Now()
+			}
+			switch (op >> 4) % 3 {
+			case 0:
+				s.At(s.Now()+d, func() { fire(id) })
+			case 1:
+				s.After(d, func() { fire(id) })
+			default:
+				s.AfterArg(d, handler, &id)
+			}
+			pending = append(pending, ref{at: at, id: id})
+		}
+		for next < len(ops) {
+			op := ops[next]
+			next++
+			if op>>4 == 5 { // a RunUntil boundary
+				until := s.Now() + Time(op&0x0f)
+				s.RunUntil(until)
+				for _, r := range pending {
+					if r.at <= until {
+						t.Fatalf("RunUntil(%d) left event %d at %d", until, r.id, r.at)
+					}
+				}
+				if s.Now() != until {
+					t.Fatalf("RunUntil(%d) ended at %d", until, s.Now())
+				}
+				continue
+			}
+			schedule(op & 0x7f)
+		}
+		s.Run()
+		if len(pending) != 0 || s.Pending() != 0 {
+			t.Fatalf("model has %d pending, sim %d", len(pending), s.Pending())
+		}
+		if s.Executed != uint64(ids) {
+			t.Fatalf("executed %d of %d events", s.Executed, ids)
+		}
+	})
+}
+
 func BenchmarkEventLoop(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -104,10 +104,28 @@ type pendingPacket struct {
 	enq netsim.Time
 }
 
+// flight is a packet scheduled for processing: what its event needs
+// when it fires. spec is resolved at schedule time. Records recycle
+// through Platform.flights, so the steady-state path allocates nothing.
+type flight struct {
+	vm   *VM
+	spec *ModuleSpec
+	pkt  *packet.Packet
+	out  func(iface int, pk *packet.Packet)
+}
+
 // Platform is the simulated In-Net host.
 type Platform struct {
 	sim   *netsim.Sim
 	model Model
+	// now is sim.Now and landFn is p.land, each bound once: the packet
+	// path hands them out per packet without allocating a closure.
+	now    func() int64
+	landFn func(any)
+	// flights is the free list of flight records.
+	flights []*flight
+	// scratch is the Context every landed packet runs on (see land).
+	scratch click.Context
 	// Transmit, when set, receives traffic originated by source
 	// modules (generators emit without a triggering Deliver).
 	Transmit func(iface int, p *packet.Packet)
@@ -186,7 +204,7 @@ type Platform struct {
 
 // New builds a platform attached to a simulator.
 func New(sim *netsim.Sim, model Model, memTotalMB int) *Platform {
-	return &Platform{
+	p := &Platform{
 		sim:            sim,
 		model:          model,
 		MemTotalMB:     memTotalMB,
@@ -202,6 +220,10 @@ func New(sim *netsim.Sim, model Model, memTotalMB int) *Platform {
 		RespawnBase:    netsim.Millis(10),
 		RespawnMax:     2 * netsim.Second,
 	}
+	p.now = sim.Now
+	p.landFn = p.land
+	p.scratch.Now = p.now
+	return p
 }
 
 // Model returns the platform's calibrated model.
@@ -521,7 +543,7 @@ func (p *Platform) finishBoot(vm *VM) {
 			continue
 		}
 		ctx := &click.Context{
-			Now: func() int64 { return p.sim.Now() },
+			Now: p.now,
 			Transmit: func(iface int, pk *packet.Packet) {
 				if p.Transmit != nil {
 					p.Transmit(iface, pk)
@@ -552,40 +574,56 @@ func (p *Platform) process(vm *VM, pkt *packet.Packet, out func(iface int, pk *p
 		extra = spec.ExtraCycles
 	}
 	lat := p.model.ProcessingLatency(len(p.vms), len(vm.Specs), pkt.Len(), extra)
-	p.sim.After(lat, func() {
-		if _, alive := p.vms[vm.ID]; !alive {
-			// The guest died (crash, eviction, outage) with this
-			// packet in flight.
-			p.DroppedInFlight++
-			return
-		}
-		r, err := p.routerFor(vm, pkt.DstIP)
-		if err != nil || r == nil {
-			return
-		}
-		ctx := &click.Context{
-			Now:      func() int64 { return p.sim.Now() },
-			Transmit: out,
-		}
-		if x := p.programFor(vm, pkt.DstIP, r); x != nil {
-			// Compiled fast path: run to completion through the
-			// flattened program. The program shares the router's
-			// element instances, so ticker drains below stay coherent.
-			// Path tracing, when armed, samples inside RunOne.
-			x.Transmit = out
-			_ = x.RunOne(0, pkt)
-			p.PipelinePackets++
-		} else if every := p.traceEveryFor(spec); every > 0 &&
-			telemetry.Sampled(pipeline.AffinityHash(pkt.Tuple()), every) {
-			p.injectTraced(r, ctx, pkt, p.pathRing(pkt.DstIP),
-				pipeline.AffinityHash(pkt.Tuple()))
-		} else {
-			_ = r.Inject(ctx, 0, pkt)
-		}
-		// Drive due timed elements (batchers etc.) immediately and
-		// schedule their next tick.
-		p.driveTickers(vm, r, ctx)
-	})
+	var f *flight
+	if n := len(p.flights); n > 0 {
+		f = p.flights[n-1]
+		p.flights = p.flights[:n-1]
+	} else {
+		f = new(flight)
+	}
+	*f = flight{vm: vm, spec: spec, pkt: pkt, out: out}
+	p.sim.AfterArg(lat, p.landFn, f)
+}
+
+// land is the event process schedules: it runs the flight's packet
+// through its guest, then returns the record to the free list.
+func (p *Platform) land(arg any) {
+	f := arg.(*flight)
+	vm, spec, pkt, out := f.vm, f.spec, f.pkt, f.out
+	*f = flight{}
+	p.flights = append(p.flights, f)
+	if _, alive := p.vms[vm.ID]; !alive {
+		// The guest died (crash, eviction, outage) with this packet in
+		// flight.
+		p.DroppedInFlight++
+		return
+	}
+	r, err := p.routerFor(vm, pkt.DstIP)
+	if err != nil || r == nil {
+		return
+	}
+	// Elements do not retain a Context, so every packet runs on the
+	// platform's scratch one; driveTickers copies it for a ticker chain.
+	ctx := &p.scratch
+	ctx.Transmit = out
+	if x := p.programFor(vm, pkt.DstIP, r); x != nil {
+		// Compiled fast path: run to completion through the flattened
+		// program. The program shares the router's element instances,
+		// so ticker drains below stay coherent. Path tracing, when
+		// armed, samples inside RunOne.
+		x.Transmit = out
+		_ = x.RunOne(0, pkt)
+		p.PipelinePackets++
+	} else if every := p.traceEveryFor(spec); every > 0 &&
+		telemetry.Sampled(pipeline.AffinityHash(pkt.Tuple()), every) {
+		p.injectTraced(r, ctx, pkt, p.pathRing(pkt.DstIP),
+			pipeline.AffinityHash(pkt.Tuple()))
+	} else {
+		_ = r.Inject(ctx, 0, pkt)
+	}
+	// Drive due timed elements (batchers etc.) immediately and schedule
+	// their next tick.
+	p.driveTickers(vm, r, ctx)
 }
 
 // routerFor lazily builds (per spec) the Click router for the module
@@ -653,7 +691,7 @@ func (p *Platform) programFor(vm *VM, addr uint32, r *click.Router) *pipeline.Ex
 		return nil
 	}
 	x := pipeline.NewExec(prog)
-	x.Now = func() int64 { return p.sim.Now() }
+	x.Now = p.now
 	if every := p.traceEveryFor(spec); every > 0 {
 		x.EnablePathTrace(p.pathRing(addr), every)
 	}
@@ -712,17 +750,20 @@ func (p *Platform) DataplaneFor(addr uint32) string {
 }
 
 // driveTickers runs a router's schedulable elements, rescheduling as
-// needed.
+// needed. The chain keeps its own copy of ctx, so it transmits through
+// the out of the packet that started it even when ctx is the
+// platform's scratch context.
 func (p *Platform) driveTickers(vm *VM, r *click.Router, ctx *click.Context) {
 	next := r.Tick(ctx)
 	if next < 0 {
 		return
 	}
+	c := *ctx
 	p.sim.After(next, func() {
 		if _, alive := p.vms[vm.ID]; !alive {
 			return
 		}
-		p.driveTickers(vm, r, ctx)
+		p.driveTickers(vm, r, &c)
 	})
 }
 

@@ -396,6 +396,66 @@ func TestSuspendResumeLatencyBand(t *testing.T) {
 	}
 }
 
+// TestDeliverDoesNotAllocate: once a guest is running, delivering a
+// burst and draining the simulator allocates nothing, on the compiled
+// pipeline and on the graph walk of a router without tickers.
+func TestDeliverDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct{ name, config, dataplane string }{
+		{"compiled", `
+in :: FromNetfront();
+chk :: CheckIPHeader();
+pt :: Paint(7);
+ttl :: DecIPTTL();
+cnt :: Counter();
+out :: ToNetfront();
+in -> chk -> pt -> ttl -> cnt -> out;
+`, "pipeline"},
+		{"graph-walk", `
+in :: FromNetfront();
+rr :: RoundRobinSwitch(2);
+o0 :: ToNetfront(0);
+o1 :: ToNetfront(1);
+in -> rr;
+rr[0] -> o0;
+rr[1] -> o1;
+`, "graph-walk"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := netsim.New(1)
+			p := newPlatform(sim)
+			p.TraceEvery = -1
+			addr := packet.MustParseIP("198.51.100.10")
+			if err := p.Register(ModuleSpec{Addr: addr, Config: tc.config}); err != nil {
+				t.Fatal(err)
+			}
+			pkts := make([]*packet.Packet, 32)
+			for i := range pkts {
+				pkts[i] = udp("198.51.100.10")
+				pkts[i].SrcPort = uint16(1000 + i)
+			}
+			sent := 0
+			out := func(int, *packet.Packet) { sent++ }
+			burst := func() {
+				for _, pk := range pkts {
+					pk.TTL = 64
+				}
+				p.DeliverBatch(pkts, out)
+				sim.Run()
+			}
+			burst() // boots the guest
+			if got := p.DataplaneFor(addr); got != tc.dataplane {
+				t.Fatalf("dataplane = %q, want %q", got, tc.dataplane)
+			}
+			if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+				t.Fatalf("DeliverBatch + Run allocated %.1f times per burst of %d", allocs, len(pkts))
+			}
+			if want := 102 * len(pkts); sent != want {
+				t.Fatalf("transmitted %d packets, want %d", sent, want)
+			}
+		})
+	}
+}
+
 func BenchmarkDeliverWarm(b *testing.B) {
 	sim := netsim.New(1)
 	p := newPlatform(sim)

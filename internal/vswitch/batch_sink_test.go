@@ -149,3 +149,32 @@ func TestToModuleBatchOutageReplay(t *testing.T) {
 		t.Fatalf("redispatched %d, want 12", s.Redispatched())
 	}
 }
+
+// TestProcessBatchDoesNotAllocate: once the flows are known and a run
+// buffer is pooled, a burst into a sink that does not retain the slice
+// allocates nothing.
+func TestProcessBatchDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	s := twoModuleSwitch(t, 4)
+	var got int
+	s.ToModuleBatch = func(mod uint32, pkts []*packet.Packet) { got += len(pkts) }
+	var burst []*packet.Packet
+	for i := 0; i < 8; i++ {
+		for f := uint32(0); f < 4; f++ {
+			mod := uint32(0xc0000201)
+			if i%2 == 1 {
+				mod = 0xc0000202
+			}
+			burst = append(burst, sinkPkt(f, i, mod))
+		}
+	}
+	s.ProcessBatch(burst) // learns the flows
+	if allocs := testing.AllocsPerRun(100, func() { s.ProcessBatch(burst) }); allocs != 0 {
+		t.Fatalf("ProcessBatch allocated %.1f times per burst", allocs)
+	}
+	if want := 102 * len(burst); got != want {
+		t.Fatalf("sink saw %d packets, want %d", got, want)
+	}
+}

@@ -32,7 +32,10 @@ func payloadFlowSeq(p *packet.Packet) (int, int) {
 // TestShardedPerFlowOrderQuick: under concurrent senders and random
 // per-sender schedules, every flow's packets are delivered exactly
 // once and in send order, and flow starts are detected exactly once
-// per flow. Run with -race in CI, this is also the data-race audit of
+// per flow. Even-numbered senders call Process per packet and
+// odd-numbered ones ProcessBatch, so both paths always race against
+// each other into one batch sink (whose run buffers are pooled across
+// callers). Run with -race in CI, this is also the data-race audit of
 // the sharded path.
 func TestShardedPerFlowOrderQuick(t *testing.T) {
 	mod := packet.MustParseIP("198.51.100.10")
@@ -42,15 +45,18 @@ func TestShardedPerFlowOrderQuick(t *testing.T) {
 		senders := 2 + rng.Intn(3)
 		flowsPer := 1 + rng.Intn(3)
 		perFlow := 20 + rng.Intn(60)
+		batch := 1 + rng.Intn(8)
 
 		s := NewSharded(shards)
 		s.Install(Rule{Priority: 1, Match: Match{DstIP: mod}, Action: ActToModule, Module: mod})
 		var mu sync.Mutex
 		got := make(map[int][]int) // flow -> delivered seqs
-		s.ToModule = func(_ uint32, p *packet.Packet) {
-			flow, seq := payloadFlowSeq(p)
+		s.ToModuleBatch = func(_ uint32, pkts []*packet.Packet) {
 			mu.Lock()
-			got[flow] = append(got[flow], seq)
+			for _, p := range pkts {
+				flow, seq := payloadFlowSeq(p)
+				got[flow] = append(got[flow], seq)
+			}
 			mu.Unlock()
 		}
 
@@ -63,15 +69,25 @@ func TestShardedPerFlowOrderQuick(t *testing.T) {
 				// random but per-flow-ordered schedule.
 				seqs := make([]int, flowsPer)
 				r := rand.New(rand.NewSource(int64(w)*7919 + 1))
+				var pending []*packet.Packet
 				for sent := 0; sent < flowsPer*perFlow; sent++ {
 					fl := r.Intn(flowsPer)
 					for seqs[fl] >= perFlow {
 						fl = (fl + 1) % flowsPer
 					}
 					flowID := w*flowsPer + fl
-					s.Process(flowPacket(flowID, seqs[fl], mod))
+					pk := flowPacket(flowID, seqs[fl], mod)
 					seqs[fl]++
+					if w%2 == 0 {
+						s.Process(pk)
+						continue
+					}
+					if pending = append(pending, pk); len(pending) == batch {
+						s.ProcessBatch(pending)
+						pending = pending[:0]
+					}
 				}
+				s.ProcessBatch(pending)
 			}(w)
 		}
 		wg.Wait()

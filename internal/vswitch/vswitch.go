@@ -162,8 +162,10 @@ type Switch struct {
 	// ToModuleBatch, when set, takes precedence over ToModule: runs of
 	// consecutive same-module packets inside a ProcessBatch call are
 	// delivered as one slice (the compiled-pipeline fast path). The
-	// slice is only valid for the duration of the call. Per-module
-	// packet order is batch order, exactly as with ToModule.
+	// slice is only valid for the duration of the call: the switch
+	// reuses its backing array, so a sink that keeps packets past the
+	// call copies them out. Per-module packet order is batch order,
+	// exactly as with ToModule.
 	ToModuleBatch func(module uint32, pkts []*packet.Packet)
 	// Output delivers ActOutput packets.
 	Output func(port int, p *packet.Packet)
@@ -291,10 +293,7 @@ func (s *Switch) SetDown(down bool) {
 	// Replay under the exclusive table lock: packets racing SetDown
 	// wait on the read lock, so everything buffered during the outage
 	// dispatches before anything that arrives after recovery.
-	var run *moduleRun
-	if s.ToModuleBatch != nil {
-		run = &moduleRun{}
-	}
+	run := s.getRun()
 	for _, sh := range s.shards {
 		buf := sh.buffer
 		sh.buffer = nil
@@ -306,6 +305,7 @@ func (s *Switch) SetDown(down bool) {
 		}
 		s.flushRun(run)
 	}
+	putRun(run)
 }
 
 // IsDown reports whether the switch is buffering for a failed
@@ -338,12 +338,34 @@ type moduleRun struct {
 	pkts   []*packet.Packet
 }
 
+// runPool recycles run buffers across bursts. ProcessBatch runs under
+// the shared table lock and may be called concurrently, so a single
+// switch-owned buffer would be shared between callers.
+var runPool = sync.Pool{New: func() any { return new(moduleRun) }}
+
+// getRun returns an empty run buffer when a batch sink is set, else nil
+// (packets then go to the sink one by one).
+func (s *Switch) getRun() *moduleRun {
+	if s.ToModuleBatch == nil {
+		return nil
+	}
+	return runPool.Get().(*moduleRun)
+}
+
+func putRun(run *moduleRun) {
+	if run != nil {
+		runPool.Put(run)
+	}
+}
+
 // flushRun hands the accumulated run to the batch sink and resets it.
+// The sink must not retain the slice: its backing array is reused.
 func (s *Switch) flushRun(run *moduleRun) {
 	if run == nil || len(run.pkts) == 0 {
 		return
 	}
 	s.ToModuleBatch(run.module, run.pkts)
+	clear(run.pkts) // a pooled buffer must not keep packets alive
 	run.pkts = run.pkts[:0]
 }
 
@@ -493,19 +515,15 @@ func (s *Switch) PerShard() []ShardStats {
 // Packets dispatch in batch order, so the ordering guarantees are
 // those of calling Process sequentially — the batch amortizes lock
 // traffic, and with a ToModuleBatch sink it also coalesces runs of
-// same-module packets into single datapath deliveries. Without a batch
-// sink it allocates nothing; with one, at most one run buffer per
-// call.
+// same-module packets into single datapath deliveries. It allocates
+// nothing in the steady state: the run buffer comes from a pool.
 func (s *Switch) ProcessBatch(pkts []*packet.Packet) {
 	if len(pkts) == 0 {
 		return
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var run *moduleRun
-	if s.ToModuleBatch != nil {
-		run = &moduleRun{pkts: make([]*packet.Packet, 0, len(pkts))}
-	}
+	run := s.getRun()
 	var held *shard
 	for _, p := range pkts {
 		sh := s.shardFor(p.Tuple())
@@ -525,6 +543,7 @@ func (s *Switch) ProcessBatch(pkts []*packet.Packet) {
 	// the packets already dispatched (counters, flow cache) and only
 	// delivery remains, so a slow datapath does not hold up the shard.
 	s.flushRun(run)
+	putRun(run)
 }
 
 // processOnShardLocked is Process's body after the locks are held:
