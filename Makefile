@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-admission bench-all bench-gate bench-e2e bench-aa smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
+.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-admission bench-all bench-gate bench-e2e bench-aa bench-pairs smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
 
 # Commit id stamped into BENCH_HISTORY.jsonl entries; CI overrides it.
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -59,6 +59,17 @@ bench-e2e:
 # this commit against the bounds in BENCHMARK.json.
 bench-aa:
 	bash benchmark/aa.sh 10
+
+# Interleaved parent/change pairs of the end-to-end benchmark
+# (median, quartiles, wins, gain/worse per end-to-end metric):
+#   make bench-pairs PARENT=../parent-checkout WORKLOAD=deploy-warm N=10
+PARENT ?=
+WORKLOAD ?= deploy-warm
+N ?= 10
+RUN_SECONDS ?= 30
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=DIR [WORKLOAD=$(WORKLOAD)] [N=$(N)] [RUN_SECONDS=$(RUN_SECONDS)]"; exit 2; }
+	bash scripts/bench_pairs.sh $(PARENT) . $(WORKLOAD) $(N) $(RUN_SECONDS)
 
 # Every bench suite in one run, all JSON reports under the
 # innet-bench/1 schema, plus one appended per-commit entry in

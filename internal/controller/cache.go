@@ -39,6 +39,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -56,12 +57,17 @@ const DefaultAdmissionCache = 512
 // hashKey renders a cache key as the SHA-256 of its length-delimited
 // parts (content addressing; no part can collide into another).
 func hashKey(parts ...string) string {
-	h := sha256.New()
+	n := 0
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
+		n += len(p) + 21 // the length prefix and its ':'
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, n)
+	for _, p := range parts {
+		buf = append(strconv.AppendInt(buf, int64(len(p)), 10), ':')
+		buf = append(buf, p...)
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // canonicalOrRaw canonicalizes a Click source for key purposes,
@@ -138,13 +144,11 @@ func (c *Controller) epochLocked() string {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	h := sha256.New()
+	parts := make([]string, 0, len(ids)+1)
 	for _, id := range ids {
-		d := c.deployments[id]
-		if !d.onNetwork() {
-			continue
+		if d := c.deployments[id]; d.onNetwork() {
+			parts = append(parts, d.digest)
 		}
-		fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d:%s\n", d.ModuleName, d.Platform, d.Addr, len(d.Config), d.Config)
 	}
 	downs := make([]string, 0, len(c.platformDown))
 	for name, down := range c.platformDown {
@@ -153,8 +157,7 @@ func (c *Controller) epochLocked() string {
 		}
 	}
 	sort.Strings(downs)
-	fmt.Fprintf(h, "down:%s", strings.Join(downs, ","))
-	c.epoch = hex.EncodeToString(h.Sum(nil))
+	c.epoch = hashKey(append(parts, "down:"+strings.Join(downs, ","))...)
 	c.epochDirty = false
 	return c.epoch
 }
@@ -178,16 +181,20 @@ func (c *Controller) bumpEpochLocked() {
 // epoch-delta invalidation, recomputing it only after mutations.
 // Tokens:
 //
-//   - "pf:<platform>" digests the live module set hosted on a
-//     platform (name, address, deployed config — everything that
-//     shapes the platform's demux and element graphs). Sorted, so the
-//     digest is independent of map iteration order; check outcomes
-//     are branch-order-independent, so that is sound.
-//   - "mod:<name>" digests one live deployment by module name (absent
-//     names simply have no entry, which GetValidated sees as "").
-//     Requirement references resolve by module name, so an outcome
-//     can depend on a name's existence/content even when no flow
-//     reaches its platform.
+//   - "mod:<name>" is one live deployment's digest (Deployment.seal:
+//     name, platform, address, deployed config), by module name
+//     (absent names simply have no entry, which GetValidated sees as
+//     ""). Requirement references resolve by module name, so an
+//     outcome can depend on a name's existence/content even when no
+//     flow reaches its platform.
+//   - "pf:<platform>" digests the sorted digests of the live modules
+//     a platform hosts — everything that shapes the platform's demux
+//     and element graphs. Sorted, so the digest is independent of map
+//     iteration order; check outcomes are branch-order-independent, so
+//     that is sound.
+//
+// Each deployment is digested once, when placed; a recompute only
+// regroups those digests.
 //
 // Platform *health* is deliberately excluded: down platforms are
 // skipped before any cached check runs, so an outage flip touches no
@@ -197,20 +204,20 @@ func (c *Controller) digestsLocked() map[string]string {
 	if !c.digestsDirty && c.digests != nil {
 		return c.digests
 	}
-	perPf := make(map[string][]string)
-	out := make(map[string]string)
+	platforms := c.topo.Platforms()
+	perPf := make(map[string][]string, len(platforms))
+	out := make(map[string]string, len(c.deployments)+len(platforms))
 	for _, d := range c.deployments {
 		if !d.onNetwork() {
 			continue
 		}
-		line := fmt.Sprintf("%s\x00%s\x00%d\x00%d:%s", d.ModuleName, d.Platform, d.Addr, len(d.Config), d.Config)
-		perPf[d.Platform] = append(perPf[d.Platform], line)
-		out["mod:"+d.ModuleName] = hashKey("mod", line)
+		perPf[d.Platform] = append(perPf[d.Platform], d.digest)
+		out["mod:"+d.ModuleName] = d.digest
 	}
-	for _, pl := range c.topo.Platforms() {
-		lines := perPf[pl]
-		sort.Strings(lines)
-		out["pf:"+pl] = hashKey(append([]string{"pf"}, lines...)...)
+	for _, pl := range platforms {
+		digests := perPf[pl]
+		sort.Strings(digests)
+		out["pf:"+pl] = hashKey(append([]string{"pf"}, digests...)...)
 	}
 	c.digests = out
 	c.digestsDirty = false

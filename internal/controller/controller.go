@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,6 +173,17 @@ type Deployment struct {
 	// the full verification pipeline on an alternate platform.
 	req    Request
 	module topology.HostedModule
+	// digest content-addresses the placement (module name, platform,
+	// address, deployed config) for the admission cache's dependency
+	// tokens; set once by seal.
+	digest string
+}
+
+// seal derives what a placed deployment's immutable fields determine:
+// its dataplane mode and its cache digest.
+func (d *Deployment) seal() {
+	d.classifyPipeline()
+	d.digest = hashKey("mod", d.ModuleName, d.Platform, strconv.FormatUint(uint64(d.Addr), 10), d.Config)
 }
 
 // Status returns the deployment's lifecycle state.
@@ -217,12 +229,12 @@ func (d *Deployment) Stateful() bool {
 	return false
 }
 
-// classifyPipeline records whether the deployed source compiles into
+// classifyPipeline records whether the deployed router compiles into
 // the flattened pipeline, and if not, why (the admission-time
 // equivalent of the platform's lazy compile, so operators see the
 // dataplane mode before the first packet).
 func (d *Deployment) classifyPipeline() {
-	if err := pipeline.Check(d.Config); err != nil {
+	if _, err := pipeline.Compile(d.module.Router); err != nil {
 		d.PipelineCompiled = false
 		d.PipelineFallback = err.Error()
 		return
@@ -661,8 +673,9 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 		}
 	}
 
-	// Build the tentative module.
-	compileStart := time.Now()
+	// Build the tentative module. The placement stage is this build plus,
+	// when it runs, the network snapshot compile.
+	buildStart := time.Now()
 	tentative, err := buildConfig(deploySrc)
 	if err != nil {
 		return nil, "", placeErr(rec, &RejectionError{Reason: fmt.Sprintf("bad configuration: %v", err)}, err)
@@ -670,32 +683,60 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 	hosted := topology.HostedModule{
 		ID: req.ModuleName, Platform: platformName, Addr: addr, Router: tentative,
 	}
-	all := c.hostedLocked(&hosted)
-	net, nm, err := c.topo.Compile(all)
-	if err != nil {
-		return nil, fmt.Sprintf("platform %s: %v", platformName, err), nil
-	}
-	timings.Compile += time.Since(compileStart)
-	c.stageLocked(StagePlacement, compileStart, "platform "+platformName)
+	placement := time.Since(buildStart)
 
-	// Client requirements and operator policy must all hold.
-	checkStart := time.Now()
-	env := &policy.CheckEnv{
-		Net: net, Map: nm, ClientNet: c.topo.ClientNet,
-		MaxSteps: steps, Deadline: deadline,
-		Workers: c.opts.workers(), Memo: c.memo,
-	}
+	// Client requirements and operator policy must all hold. A cached
+	// verdict never reads the network snapshot, so the cache is probed
+	// first and the snapshot compiled only on a miss. The placement key
+	// covers every input of the compile but the module's name; a name
+	// that can collide in the compiled network (idClashLocked) compiles
+	// before the probe, so a snapshot that does not compile still
+	// refuses the platform. Either way an attempt probes at most once.
 	var pkey string
 	if c.cache != nil {
 		pkey = placementKey(platformName, addr, deploySrc, req.Requirements, steps)
 	}
-	reason, cerr := c.checkPlacementLocked(platformName, reqs, env, pkey)
-	timings.Check += time.Since(checkStart)
-	if cerr != nil {
-		// Budget exhaustion aborts the whole deployment: the config
-		// would burn the same budget on every platform.
-		berr := budgetRejection(cerr)
-		return nil, "", placeErr(rec, berr, berr)
+	probeFirst := pkey != "" && !c.idClashLocked(req.ModuleName)
+	var reason string
+	var hit bool
+	if probeFirst {
+		reason, hit = c.lookupPlacementLocked(pkey)
+	}
+	var env *policy.CheckEnv
+	if !hit {
+		cstart := time.Now()
+		net, nm, err := c.topo.Compile(c.hostedLocked(&hosted))
+		if err != nil {
+			return nil, fmt.Sprintf("platform %s: %v", platformName, err), nil
+		}
+		placement += time.Since(cstart)
+		env = &policy.CheckEnv{
+			Net: net, Map: nm, ClientNet: c.topo.ClientNet,
+			MaxSteps: steps, Deadline: deadline,
+			Workers: c.opts.workers(), Memo: c.memo,
+		}
+	}
+	timings.Compile += placement
+	detail := "platform " + platformName
+	if hit {
+		detail += ": cached"
+	}
+	c.stageDurationLocked(StagePlacement, placement, detail)
+
+	if !hit && pkey != "" && !probeFirst {
+		reason, hit = c.lookupPlacementLocked(pkey)
+	}
+	if !hit {
+		checkStart := time.Now()
+		var cerr error
+		reason, cerr = c.checkPlacementLocked(platformName, reqs, env, pkey)
+		timings.Check += time.Since(checkStart)
+		if cerr != nil {
+			// Budget exhaustion aborts the whole deployment: the config
+			// would burn the same budget on every platform.
+			berr := budgetRejection(cerr)
+			return nil, "", placeErr(rec, berr, berr)
+		}
 	}
 	if reason != "" {
 		return nil, reason, nil
@@ -719,8 +760,62 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 		req:        req,
 		module:     hosted,
 	}
-	dep.classifyPipeline()
+	dep.seal()
 	return dep, "", nil
+}
+
+// idClashLocked reports whether a module named id could collide with a
+// name already in the compiled network: a topology node or an
+// on-network deployment's module. Module element nodes are named
+// "<id>/<element>" and element names may contain '/', so two names can
+// collide when they are equal or one is a '/'-prefix of the other.
+// Without such a collision topology.Compile cannot refuse a snapshot
+// whose placement key is cached: the key covers everything else it
+// reads.
+func (c *Controller) idClashLocked(id string) bool {
+	for _, n := range c.topo.Nodes() {
+		if namesOverlap(id, n) {
+			return true
+		}
+	}
+	for _, d := range c.deployments {
+		if d.onNetwork() && namesOverlap(id, d.module.ID) {
+			return true
+		}
+	}
+	return false
+}
+
+// namesOverlap reports whether a equals b or one is a '/'-prefix of
+// the other.
+func namesOverlap(a, b string) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	return strings.HasPrefix(b, a) && (len(a) == len(b) || b[len(a)] == '/')
+}
+
+// lookupPlacementLocked probes the admission cache for the outcome
+// checkPlacementLocked stored under key: the reason, and whether it
+// was there and still valid.
+func (c *Controller) lookupPlacementLocked(key string) (string, bool) {
+	lstart := time.Now()
+	var v any
+	var ok bool
+	if c.deltaEnabled() {
+		cur := c.digestsLocked()
+		v, ok = c.cache.GetValidated(key, func(deps map[string]string) bool {
+			return depsValid(deps, cur)
+		})
+	} else {
+		v, ok = c.cache.Get(key, c.epochLocked())
+	}
+	if !ok {
+		c.stageLocked(StageCacheLookup, lstart, "placement: miss")
+		return "", false
+	}
+	c.stageLocked(StageCacheLookup, lstart, "placement: hit")
+	return v.(string), true
 }
 
 // checkPlacementLocked verifies the client requirements and operator
@@ -732,38 +827,20 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 // (the caller moves to the next one); an error means the
 // symbolic-execution budget is exhausted, which no platform can cure.
 //
-// key, when non-empty, memoizes the outcome in the admission cache:
-// the reason string (including "": fits) is a pure function of the
-// compiled snapshot and the requirement texts. In epoch-delta mode
-// (the default) the entry records the dependency tokens the checks
-// actually touched — the platforms whose module sets the symbolic
-// runs visited and the module names the requirements referenced — and
-// stays hot across unrelated topology mutations; under
-// Options.WholesaleInvalidation it is epoch-tagged instead. The
+// key, when non-empty, memoizes the outcome in the admission cache for
+// lookupPlacementLocked: the reason string (including "": fits) is a
+// pure function of the compiled snapshot and the requirement texts. In
+// epoch-delta mode (the default) the entry records the dependency
+// tokens the checks actually touched — the platforms whose module sets
+// the symbolic runs visited and the module names the requirements
+// referenced — and stays hot across unrelated topology mutations;
+// under Options.WholesaleInvalidation it is epoch-tagged instead. The
 // tentative module itself needs no token: it is part of the cache key
 // (placementKey hashes its deployed source). Budget errors are never
 // cached.
 func (c *Controller) checkPlacementLocked(platformName string, reqs []*policy.Requirement, env *policy.CheckEnv, key string) (string, error) {
 	useCache := c.cache != nil && key != ""
 	delta := useCache && !c.opts.WholesaleInvalidation
-	if useCache {
-		lstart := time.Now()
-		var v any
-		var ok bool
-		if delta {
-			cur := c.digestsLocked()
-			v, ok = c.cache.GetValidated(key, func(deps map[string]string) bool {
-				return depsValid(deps, cur)
-			})
-		} else {
-			v, ok = c.cache.Get(key, c.epochLocked())
-		}
-		if ok {
-			c.stageLocked(StageCacheLookup, lstart, "placement: hit")
-			return v.(string), nil
-		}
-		c.stageLocked(StageCacheLookup, lstart, "placement: miss")
-	}
 	if delta {
 		env.Visited = make(map[string]bool)
 		env.RefNames = make(map[string]bool)

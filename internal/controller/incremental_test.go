@@ -67,11 +67,27 @@ func TestDeltaSurvivesOutage(t *testing.T) {
 	}
 }
 
+// webMirrorConfig is the third-party web mirror mutationScript deploys
+// as "mirror".
+const webMirrorConfig = `
+in :: FromNetfront();
+f :: IPFilter(allow tcp dst port 80);
+mir :: IPMirror();
+out :: ToNetfront();
+in -> f -> mir -> out;
+`
+
 // mutationScript drives one seeded op sequence against a controller
 // and renders every outcome (IDs excluded: the counter is shared
 // across both controllers' histories by design, but op outcomes are
 // keyed by name).
 func mutationScript(c *Controller, seed uint64, ops int) string {
+	return mutationScriptEach(c, seed, ops, nil)
+}
+
+// mutationScriptEach is mutationScript calling after (when non-nil)
+// once each op has run.
+func mutationScriptEach(c *Controller, seed uint64, ops int, after func(op int)) string {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	platforms := []string{"Platform1", "Platform2", "Platform3"}
 	names := []string{"Batcher", "mirror", "spoof"}
@@ -87,13 +103,7 @@ func mutationScript(c *Controller, seed uint64, ops int) string {
 		case "mirror":
 			return Request{
 				Tenant: "bob", ModuleName: "mirror", Trust: security.ThirdParty,
-				Config: `
-in :: FromNetfront();
-f :: IPFilter(allow tcp dst port 80);
-mir :: IPMirror();
-out :: ToNetfront();
-in -> f -> mir -> out;
-`,
+				Config: webMirrorConfig,
 			}
 		default:
 			return Request{
@@ -150,6 +160,9 @@ in -> f -> mir -> out;
 				break
 			}
 			fmt.Fprintf(&b, "%d query: satisfied=%t reason=%q\n", i, res.Satisfied, res.Reason)
+		}
+		if after != nil {
+			after(i)
 		}
 	}
 	// Closing census: surviving deployments with full placement state.

@@ -258,7 +258,7 @@ func deploymentFromRecord(rec *journal.DeploymentRecord) (*Deployment, error) {
 		},
 	}
 	d.setStatus(parseStatus(rec.Status))
-	d.classifyPipeline()
+	d.seal()
 	return d, nil
 }
 

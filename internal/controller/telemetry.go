@@ -23,8 +23,8 @@ const (
 	StageJournalAppend = "journal-append"
 )
 
-// AdmissionStages lists every stage an admission trace can contain,
-// in pipeline order.
+// AdmissionStages lists every stage an admission trace can contain
+// (DESIGN.md "Telemetry" gives the order a deploy records them in).
 var AdmissionStages = []string{
 	StageCanonicalize, StageCacheLookup, StageSecurity,
 	StagePolicyCheck, StagePlacement, StageJournalAppend,
@@ -168,7 +168,11 @@ func (c *Controller) Tracer() *telemetry.Tracer {
 // stageLocked records one admission stage: a histogram sample and,
 // when an admission span is open, a trace stage. Caller holds c.mu.
 func (c *Controller) stageLocked(stage string, start time.Time, detail string) {
-	d := time.Since(start)
+	c.stageDurationLocked(stage, time.Since(start), detail)
+}
+
+// stageDurationLocked is stageLocked for a stage measured as d.
+func (c *Controller) stageDurationLocked(stage string, d time.Duration, detail string) {
 	if c.tel != nil {
 		if h := c.tel.stages[stage]; h != nil {
 			h.Observe(d.Seconds())

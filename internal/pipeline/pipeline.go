@@ -231,11 +231,3 @@ func CompileConfig(src string) (*Program, error) {
 	}
 	return Compile(r)
 }
-
-// Check reports whether a configuration source can be flattened,
-// without keeping the compiled result. Admission uses it to decide
-// compiled-vs-fallback before a module is placed.
-func Check(src string) error {
-	_, err := CompileConfig(src)
-	return err
-}
