@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-admission bench-all bench-gate bench-e2e bench-aa bench-pairs smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
+.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-all bench-gate bench-e2e bench-aa bench-pairs smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
 
 # Commit id stamped into BENCH_HISTORY.jsonl entries; CI overrides it.
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -44,11 +44,6 @@ bench-telemetry:
 bench-replication:
 	$(GO) run ./cmd/innet-bench -quick -only replication -replication-json BENCH_replication.json
 
-# Admission scaling (parallel symexec workers, per-element memo,
-# delta re-verification); writes BENCH_admission.json (innet-bench/1).
-bench-admission:
-	$(GO) run ./cmd/innet-bench -quick -only admission -admission-json BENCH_admission.json
-
 # The end-to-end benchmark (benchmark/README.md): packet path and
 # deploy path, every workload untraced then traced, with the per-layer
 # budget. This, not the single-layer suites below, judges a change.
@@ -76,11 +71,10 @@ bench-pairs:
 # BENCH_HISTORY.jsonl (docs/FORMATS.md §14).
 bench-all:
 	$(GO) run ./cmd/innet-bench -quick \
-		-only fastpath,telemetry,replication,admission \
+		-only fastpath,telemetry,replication \
 		-json BENCH_pr3.json \
 		-telemetry-json BENCH_telemetry.json \
 		-replication-json BENCH_replication.json \
-		-admission-json BENCH_admission.json \
 		-history BENCH_HISTORY.jsonl -commit $(COMMIT) -env $(BENCH_ENV)
 
 # Fail when the newest BENCH_HISTORY.jsonl entry regressed >15% vs
@@ -120,7 +114,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/clicklang/
 	$(GO) test -fuzz=FuzzSplitArgs -fuzztime=15s ./internal/clicklang/
 	$(GO) test -fuzz=FuzzCanonicalConfig -fuzztime=30s ./internal/clicklang/
-	$(GO) test -fuzz=FuzzMemoKey -fuzztime=30s ./internal/clicklang/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/flowspec/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/policy/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/topology/

@@ -20,13 +20,12 @@ import (
 func main() {
 	var (
 		quick   = flag.Bool("quick", false, "shrink the heavyweight sweeps")
-		only    = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, fastpath, telemetry, replication, admission")
+		only    = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, fastpath, telemetry, replication")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		batch   = flag.Int("batch", 0, "dataplane batch size for fastpath (0 = default)")
 		jsonOut = flag.String("json", "", "also write the fastpath results to this file (BENCH_pr3.json)")
 		telOut  = flag.String("telemetry-json", "", "also write the telemetry overhead results to this file")
 		replOut = flag.String("replication-json", "", "also write the failover results to this file (BENCH_replication.json)")
-		admOut  = flag.String("admission-json", "", "also write the admission-scaling results to this file (BENCH_admission.json)")
 		histOut = flag.String("history", "", "append a per-commit entry with this run's headline metrics to this file (BENCH_HISTORY.jsonl)")
 		commit  = flag.String("commit", "unknown", "commit id recorded in the -history entry")
 		env     = flag.String("env", "local", "environment label recorded in the -history entry (gate compares same-env entries only)")
@@ -38,7 +37,6 @@ func main() {
 	var fastpath *bench.FastPathResult
 	var tel *bench.TelemetryResult
 	var repl *bench.ReplicationResult
-	var adm *bench.AdmissionScalingResult
 
 	runners := map[string]func() *bench.Table{
 		"fig5":        func() *bench.Table { return bench.Fig5(*quick) },
@@ -73,17 +71,13 @@ func main() {
 			repl = bench.ReplicationMeasure(*quick)
 			return bench.ReplicationTable(repl)
 		},
-		"admission": func() *bench.Table {
-			adm = bench.AdmissionScalingMeasure(*quick)
-			return bench.AdmissionScalingTable(adm)
-		},
 	}
 	order := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"mawi", "mawi-replay", "controller", "https",
 		"ablation-a", "ablation-b", "ablation-c", "fastpath", "telemetry",
-		"replication", "admission",
+		"replication",
 	}
 
 	writeFile := func(path string, data []byte, err error) {
@@ -117,13 +111,6 @@ func main() {
 			}
 			data, err := repl.JSON()
 			writeFile(*replOut, data, err)
-		}
-		if *admOut != "" {
-			if adm == nil {
-				adm = bench.AdmissionScalingMeasure(*quick)
-			}
-			data, err := adm.JSON()
-			writeFile(*admOut, data, err)
 		}
 		if *histOut != "" {
 			e := bench.NewHistoryEntry(*commit, *env)
@@ -159,8 +146,7 @@ func main() {
 	}
 	// Standalone gate: no experiments requested, just check the
 	// history file (scripts/bench_gate.sh path).
-	if *gate && *only == "" && *jsonOut == "" && *telOut == "" &&
-		*replOut == "" && *admOut == "" {
+	if *gate && *only == "" && *jsonOut == "" && *telOut == "" && *replOut == "" {
 		if *histOut == "" {
 			fmt.Fprintln(os.Stderr, "innet-bench: -gate requires -history FILE")
 			os.Exit(2)

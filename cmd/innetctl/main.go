@@ -267,8 +267,6 @@ func health(c *api.Client) error {
 	if cs := h.Cache; cs != nil {
 		fmt.Printf("admission cache: hits=%d misses=%d entries=%d evictions=%d invalidations=%d\n",
 			cs.Hits, cs.Misses, cs.Entries, cs.Evictions, cs.Invalidations)
-		fmt.Printf("element memo: hits=%d misses=%d unsupported=%d entries=%d evictions=%d\n",
-			cs.MemoHits, cs.MemoMisses, cs.MemoUnsupported, cs.MemoEntries, cs.MemoEvictions)
 	}
 	for _, e := range h.Errors {
 		fmt.Printf("error: %s\n", e)

@@ -99,12 +99,6 @@ func run() int {
 			"how long the leader waits for standby acknowledgement of a strict record before fencing itself")
 		electionTimeout = flag.Duration("election-timeout", time.Second,
 			"with 3+ replicas: how long one election round waits for votes, and the base for campaign retry backoff")
-		admissionWorkers = flag.Int("admission-workers", 0,
-			"symexec worker pool width for admission verification (0 = GOMAXPROCS, negative = sequential)")
-		elementMemo = flag.Int("element-memo", 0,
-			"per-element memo capacity in entries (0 = default, negative = disabled)")
-		wholesaleInvalidation = flag.Bool("wholesale-invalidation", false,
-			"invalidate the whole admission cache on every topology mutation instead of delta re-verification")
 		traceEvery = flag.Int("trace-every", telemetry.DefaultTraceEvery,
 			"per-flow path-trace sampling: trace one flow in every N through each module's dataplane (negative disables; a module's own trace_every overrides)")
 		eventRing = flag.Int("event-ring", telemetry.DefaultEventRing,
@@ -128,12 +122,7 @@ func run() int {
 		log.Printf("innetd: %v", err)
 		return 1
 	}
-	opts := controller.Options{
-		BanConnectionlessReplies: *banUDP,
-		AdmissionWorkers:         *admissionWorkers,
-		ElementMemo:              *elementMemo,
-		WholesaleInvalidation:    *wholesaleInvalidation,
-	}
+	opts := controller.Options{BanConnectionlessReplies: *banUDP}
 
 	replRole, err := parseRole(*role)
 	if err != nil {

@@ -92,8 +92,8 @@ type HealthResponse struct {
 	// an unreplicated (single) controller.
 	Replication *ReplicationInfo `json:"replication,omitempty"`
 	// Pipeline summarizes the compiled-dataplane status across live
-	// deployments (workers, compiled vs graph-walk fallback counts,
-	// fallback reasons).
+	// deployments (compiled vs graph-walk fallback counts, fallback
+	// reasons).
 	Pipeline *PipelineInfo `json:"pipeline,omitempty"`
 	// DropReasons is the unified drop-attribution rollup: subsystem
 	// site → taxonomy reason → total count, mirroring
@@ -154,20 +154,13 @@ type PeerInfo struct {
 }
 
 // CacheInfo is the admission-cache slice of GET /v1/health: the
-// whole-config verdict cache plus the per-element memo underneath it
-// (memo counters are zero when the memo is disabled).
+// verdict cache's counters.
 type CacheInfo struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`
 	Evictions     uint64 `json:"evictions"`
 	Invalidations uint64 `json:"invalidations"`
 	Entries       int    `json:"entries"`
-
-	MemoHits        uint64 `json:"memo_hits"`
-	MemoMisses      uint64 `json:"memo_misses"`
-	MemoUnsupported uint64 `json:"memo_unsupported"`
-	MemoEvictions   uint64 `json:"memo_evictions"`
-	MemoEntries     int    `json:"memo_entries"`
 }
 
 // TracesResponse is the GET /v1/traces body.

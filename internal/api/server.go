@@ -582,19 +582,12 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	cs := s.ctl.CacheStats()
-	ms := s.ctl.MemoStats()
 	resp.Cache = &CacheInfo{
 		Hits:          cs.Hits,
 		Misses:        cs.Misses,
 		Evictions:     cs.Evictions,
 		Invalidations: cs.Invalidations,
 		Entries:       cs.Entries,
-
-		MemoHits:        ms.Hits,
-		MemoMisses:      ms.Misses,
-		MemoUnsupported: ms.Unsupported,
-		MemoEvictions:   ms.Evictions,
-		MemoEntries:     ms.Entries,
 	}
 	ps := s.ctl.PipelineStatsSnapshot()
 	resp.Pipeline = &PipelineInfo{

@@ -1,10 +1,5 @@
 package clicklang
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Canonical parses src and renders it back in the parser's canonical
 // form: one declaration per line (`name :: Class(raw-args);`) in
 // declaration order, then one connection per line with explicit port
@@ -24,28 +19,4 @@ func Canonical(src string) (string, error) {
 		return "", err
 	}
 	return cfg.String(), nil
-}
-
-// FragmentCanonical renders a single element declaration's
-// behaviour-relevant content: the class plus the argument list exactly
-// as element Configure implementations receive it (split on top-level
-// commas, each argument whitespace-trimmed). The element's instance
-// name, its wiring, and argument-list whitespace are all excluded —
-// none of them reach Configure — so two fragments canonicalize
-// equally if and only if they configure identical element behaviour.
-// This is the element half of the per-element memo key (the other
-// half is the canonicalized entry state; see symexec.Memo).
-func FragmentCanonical(class, rawArgs string) string {
-	args := SplitArgs(rawArgs)
-	var b strings.Builder
-	b.WriteString(class)
-	b.WriteByte('(')
-	for _, a := range args {
-		// Length-prefixed so arbitrary argument bytes can never make
-		// two distinct argument lists render identically.
-		fmt.Fprintf(&b, "%d:", len(a))
-		b.WriteString(a)
-	}
-	b.WriteByte(')')
-	return b.String()
 }

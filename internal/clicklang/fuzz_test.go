@@ -1,9 +1,6 @@
 package clicklang
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // FuzzParse runs the parser over hostile inputs; with plain `go test`
 // it exercises the seed corpus, and `go test -fuzz=FuzzParse` explores
@@ -98,72 +95,4 @@ func FuzzCanonicalConfig(f *testing.F) {
 			t.Fatalf("canonicalization is not idempotent:\noriginal: %q\nfirst:  %q\nsecond: %q", src, c1, c2)
 		}
 	})
-}
-
-// FuzzMemoKey asserts the two properties the per-element symexec memo
-// key (symexec.Memo) builds on FragmentCanonical for:
-//
-//  1. Equivalence: two raw argument strings that split into the same
-//     argument list — i.e. differ only in inter-argument whitespace,
-//     exactly what Configure never sees — canonicalize identically,
-//     so structurally shared elements across tenants share one memo
-//     entry.
-//  2. Injectivity: distinct (class, argument-list) pairs never render
-//     to the same canonical string (the length-prefixed encoding
-//     leaves no byte sequence ambiguous), so a memo hit can never
-//     replay the recipe of a differently-configured element.
-func FuzzMemoKey(f *testing.F) {
-	add := func(classA, argsA, classB, argsB string) { f.Add(classA, argsA, classB, argsB) }
-	add("IPFilter", "allow udp port 1500, deny all", "IPFilter", "allow udp port 1500 ,  deny all")
-	add("IPFilter", "allow udp port 1500", "IPFilter", "allow udp port 1501")
-	add("SetIPDst", "192.0.2.1", "SetIPSrc", "192.0.2.1")
-	add("Tee", "2", "Tee", " 2 ")
-	add("A", "x,y", "A", "x,,y")
-	add("A", `"a,b"`, "A", "a,b")
-	add("A", "ab", "B", "a,b")
-	add("A", "1:x", "A", "1:,x")
-	add("A", "", "A", " ")
-	f.Fuzz(func(t *testing.T, classA, argsA, classB, argsB string) {
-		ca := FragmentCanonical(classA, argsA)
-		cb := FragmentCanonical(classB, argsB)
-		sameInput := classA == classB &&
-			strings.Join(SplitArgs(argsA), "\x00") == strings.Join(SplitArgs(argsB), "\x00")
-		// NUL can appear inside a fuzzed argument, making the joined
-		// comparison ambiguous; resolve exactly.
-		if sameInput {
-			a, b := SplitArgs(argsA), SplitArgs(argsB)
-			if len(a) != len(b) {
-				sameInput = false
-			} else {
-				for i := range a {
-					if a[i] != b[i] {
-						sameInput = false
-						break
-					}
-				}
-			}
-		}
-		if sameInput && ca != cb {
-			t.Fatalf("equal Configure input canonicalizes differently:\n(%q, %q) -> %q\n(%q, %q) -> %q",
-				classA, argsA, ca, classB, argsB, cb)
-		}
-		// Injectivity is claimed only for parser-shaped class names
-		// (identifiers). An adversarial "class" embedding '(' and a
-		// length prefix could forge the rendering's class/args
-		// boundary, but the parser can never produce one.
-		if !identLike(classA) || !identLike(classB) {
-			return
-		}
-		if !sameInput && ca == cb {
-			t.Fatalf("distinct Configure inputs collide on %q:\n(%q, %q) args %q\n(%q, %q) args %q",
-				ca, classA, argsA, SplitArgs(argsA), classB, argsB, SplitArgs(argsB))
-		}
-	})
-}
-
-// identLike reports whether s could have come out of the parser as an
-// element class name (conservatively: non-empty, no argument-list
-// metacharacters).
-func identLike(s string) bool {
-	return s != "" && !strings.ContainsAny(s, "(): \t\n,\"")
 }

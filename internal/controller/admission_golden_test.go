@@ -16,10 +16,9 @@ import (
 )
 
 // TestAdmissionGolden is a behaviour oracle for admission. For 24 seeds
-// of 40 mutationScript ops, in both invalidation modes, it renders
-// every journal record the controller appends and the admission
-// cache's hit and miss counts after each op, then the script's own
-// transcript. Between script ops a second seeded stream deploys and
+// of 40 mutationScript ops it renders every journal record the
+// controller appends and the admission cache's hit and miss counts
+// after each op, then the script's own transcript. Between script ops a second seeded stream deploys and
 // kills modules of two more tenants: eve reuses the name "mirror" (so
 // admission meets a module-ID clash with bob's), and carol deploys the
 // same config as "mirror2" (so a clashing request can find its
@@ -56,21 +55,19 @@ func (j *recordingJournal) Append(r journal.Record) error {
 	return nil
 }
 
-// renderAdmission renders every seed in both invalidation modes.
+// renderAdmission renders every seed.
 func renderAdmission(t *testing.T) string {
 	var b strings.Builder
 	for seed := uint64(1); seed <= 24; seed++ {
-		for _, wholesale := range []bool{false, true} {
-			fmt.Fprintf(&b, "# seed %d wholesale=%t\n", seed, wholesale)
-			runAdmission(t, &b, seed, wholesale)
-		}
+		fmt.Fprintf(&b, "# seed %d\n", seed)
+		runAdmission(t, &b, seed)
 	}
 	return b.String()
 }
 
 // runAdmission drives one seeded scenario and appends its transcript.
-func runAdmission(t *testing.T, w *strings.Builder, seed uint64, wholesale bool) {
-	c := newModeController(t, wholesale)
+func runAdmission(t *testing.T, w *strings.Builder, seed uint64) {
+	c := newDifferentialController(t, 0)
 	j := &recordingJournal{}
 	c.AttachJournal(j)
 	rng := rand.New(rand.NewSource(int64(seed) ^ 0x5eed))

@@ -1,7 +1,7 @@
 // Admission-cache wiring: content-addressed memoization of the
 // controller's symbolic-execution verdicts (security checks and
 // placement-dependent requirement/policy checks) in an LRU keyed on
-// the canonicalized inputs and tagged with a topology epoch.
+// the canonicalized inputs.
 //
 // Key discipline — the cache must never change an admission decision:
 //
@@ -10,23 +10,18 @@
 //     node names embed it), the assigned address, the trust class, the
 //     whitelist, the transparency flag, the operator's amplification
 //     policy and the step budget: every input security.Check reads.
-//     They carry symexec.AnyEpoch — a standalone module's analysis
+//     They carry no dependency set — a standalone module's analysis
 //     does not depend on what else is deployed.
 //   - Placement-check and query entries additionally depend on the
-//     compiled network snapshot. By default they record *which parts*
-//     of it the check actually read — dependency tokens derived from
-//     the nodes the symbolic runs visited and the module names the
-//     requirements referenced — and a lookup revalidates only those
-//     tokens against the current digest table (epoch-delta
-//     invalidation: an unrelated deploy/kill/outage leaves the entry
-//     hot). Under Options.WholesaleInvalidation they fall back to the
-//     legacy discipline: tagged with a single topology epoch (content
-//     hash of the hosted-module set plus the down-platform set), so
-//     ANY mutation invalidates every placement-dependent entry.
-//     Either way invalidation is lazy: a stale lookup deletes the
-//     entry, and since tokens/epochs are content-derived,
-//     deploy→kill→re-deploy returns to the prior state and warm
-//     entries hit again.
+//     compiled network snapshot. They record *which parts* of it the
+//     check actually read — dependency tokens derived from the nodes
+//     the symbolic runs visited and the module names the requirements
+//     referenced — and a lookup revalidates only those tokens against
+//     the current digest table (delta invalidation: an unrelated
+//     deploy/kill/outage leaves the entry hot). Invalidation is lazy:
+//     a stale lookup deletes the entry, and since tokens are
+//     content-derived, deploy→kill→re-deploy returns to the prior
+//     state and warm entries hit again.
 //
 // Cache state is never journaled and never persisted: admit/reject
 // records are byte-identical whether the verdict came from the cache
@@ -102,8 +97,7 @@ func securityKey(in security.Input, src string, banConnectionless bool) string {
 	)
 }
 
-// placementKey content-addresses one checkPlacementLocked invocation
-// (epoch-tagged by the caller via cacheGet/cachePut).
+// placementKey content-addresses one checkPlacementLocked invocation.
 func placementKey(platformName string, addr uint32, deploySrc, requirements string, steps int) string {
 	return hashKey(
 		"place",
@@ -115,7 +109,7 @@ func placementKey(platformName string, addr uint32, deploySrc, requirements stri
 	)
 }
 
-// queryKey content-addresses one Query invocation (epoch-tagged).
+// queryKey content-addresses one Query invocation.
 func queryKey(requirements string, steps int) string {
 	return hashKey("query", requirements, fmt.Sprintf("%d", steps))
 }
@@ -132,58 +126,24 @@ func cloneReport(rep *security.Report) *security.Report {
 	return &c
 }
 
-// epochLocked returns the topology epoch, recomputing the content
-// hash only when the deployment set or platform health changed since
-// the last call.
-func (c *Controller) epochLocked() string {
-	if !c.epochDirty && c.epoch != "" {
-		return c.epoch
-	}
-	ids := make([]string, 0, len(c.deployments))
-	for id := range c.deployments {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	parts := make([]string, 0, len(ids)+1)
-	for _, id := range ids {
-		if d := c.deployments[id]; d.onNetwork() {
-			parts = append(parts, d.digest)
-		}
-	}
-	downs := make([]string, 0, len(c.platformDown))
-	for name, down := range c.platformDown {
-		if down {
-			downs = append(downs, name)
-		}
-	}
-	sort.Strings(downs)
-	c.epoch = hashKey(append(parts, "down:"+strings.Join(downs, ","))...)
-	c.epochDirty = false
-	return c.epoch
-}
-
-// bumpEpochLocked marks the topology epoch and the per-platform
-// digest table stale. Call after every mutation of the deployment set
-// or platform health.
-func (c *Controller) bumpEpochLocked() {
-	if !c.epochDirty || !c.digestsDirty {
-		// First invalidation since the last recompute of either staleness
-		// surface (the epoch hash in wholesale mode, the digest table in
-		// delta mode): one event per burst of mutations, so the recorder
-		// is not flooded.
+// topologyChangedLocked marks the per-platform digest table stale.
+// Call after every mutation of the deployment set or platform health.
+func (c *Controller) topologyChangedLocked() {
+	if !c.digestsDirty {
+		// First invalidation since the last recompute: one event per
+		// burst of mutations, so the recorder is not flooded.
 		c.recordLocked("cache-invalidate", "topology mutation", "")
 	}
-	c.epochDirty = true
 	c.digestsDirty = true
 }
 
-// digestsLocked returns the dependency-token digest table for
-// epoch-delta invalidation, recomputing it only after mutations.
+// digestsLocked returns the dependency-token digest table for delta
+// invalidation, recomputing it only after mutations.
 // Tokens:
 //
 //   - "mod:<name>" is one live deployment's digest (Deployment.seal:
 //     name, platform, address, deployed config), by module name
-//     (absent names simply have no entry, which GetValidated sees as
+//     (absent names simply have no entry, which depsValid sees as
 //     ""). Requirement references resolve by module name, so an
 //     outcome can depend on a name's existence/content even when no
 //     flow reaches its platform.
@@ -198,8 +158,7 @@ func (c *Controller) bumpEpochLocked() {
 //
 // Platform *health* is deliberately excluded: down platforms are
 // skipped before any cached check runs, so an outage flip touches no
-// cached placement/query entry — the headline win over wholesale
-// epoch invalidation, where MarkPlatformDown invalidated everything.
+// cached placement/query entry.
 func (c *Controller) digestsLocked() map[string]string {
 	if !c.digestsDirty && c.digests != nil {
 		return c.digests
@@ -264,22 +223,22 @@ func (c *Controller) depsFor(env *policy.CheckEnv, cur map[string]string) map[st
 	return deps
 }
 
-// deltaEnabled reports whether placement/query entries use
-// dependency-validated (epoch-delta) invalidation.
-func (c *Controller) deltaEnabled() bool {
-	return c.cache != nil && !c.opts.WholesaleInvalidation
-}
-
 // CacheStats snapshots the admission cache counters (zero stats when
 // caching is disabled).
 func (c *Controller) CacheStats() symexec.CacheStats {
 	return c.cache.Stats()
 }
 
-// MemoStats snapshots the per-element symbolic-execution memo
-// counters (zero stats when the memo is disabled).
-func (c *Controller) MemoStats() symexec.MemoStats {
-	return c.memo.Stats()
+// MemoStats is the counter snapshot of the retired per-element
+// symbolic-execution memo.
+type MemoStats struct {
+	Hits, Misses uint64
+}
+
+// MemoStats always returns zeros: admission has no per-element memo.
+// It stays only for callers that still report memo hit ratios.
+func (c *Controller) MemoStats() MemoStats {
+	return MemoStats{}
 }
 
 // checkedSecurity runs the security check through the cache. Budget
@@ -295,7 +254,7 @@ func (c *Controller) checkedSecurity(in security.Input, src string) (*security.R
 	}
 	key := securityKey(in, src, in.BanConnectionlessReplies)
 	lstart := time.Now()
-	if v, ok := c.cache.Get(key, symexec.AnyEpoch); ok {
+	if v, ok := c.cache.Get(key, nil); ok {
 		c.stageLocked(StageCacheLookup, lstart, "security: hit")
 		return cloneReport(v.(*security.Report)), nil
 	}
@@ -306,7 +265,7 @@ func (c *Controller) checkedSecurity(in security.Input, src string) (*security.R
 	if err != nil {
 		return nil, err
 	}
-	c.cache.Put(key, symexec.AnyEpoch, cloneReport(rep))
+	c.cache.Put(key, nil, cloneReport(rep))
 	return rep, nil
 }
 
@@ -330,23 +289,12 @@ func policyDetail(platformName, reason string, err error) string {
 	}
 }
 
-// cachedQuery consults the cache for a full Query result. In delta
-// mode (cur != nil) the entry hits while its recorded dependency
-// tokens still match cur; in wholesale mode it hits on an exact epoch
-// match.
-func (c *Controller) cachedQuery(key, epoch string, cur map[string]string) (*QueryResult, bool) {
-	if c.cache == nil {
-		return nil, false
-	}
-	var v any
-	var ok bool
-	if cur != nil {
-		v, ok = c.cache.GetValidated(key, func(deps map[string]string) bool {
-			return depsValid(deps, cur)
-		})
-	} else {
-		v, ok = c.cache.Get(key, epoch)
-	}
+// cachedQuery consults the cache for a full Query result: the entry
+// hits while its recorded dependency tokens still match cur.
+func (c *Controller) cachedQuery(key string, cur map[string]string) (*QueryResult, bool) {
+	v, ok := c.cache.Get(key, func(deps map[string]string) bool {
+		return depsValid(deps, cur)
+	})
 	if !ok {
 		return nil, false
 	}
@@ -358,15 +306,11 @@ func (c *Controller) cachedQuery(key, epoch string, cur map[string]string) (*Que
 // digest snapshot (cur) the check actually ran against, so a topology
 // mutation racing with an unlocked query run leaves a stale-valued
 // entry that the next lookup discards — never a wrong hit.
-func (c *Controller) putQuery(key, epoch string, cur map[string]string, env *policy.CheckEnv, r *QueryResult) {
+func (c *Controller) putQuery(key string, cur map[string]string, env *policy.CheckEnv, r *QueryResult) {
 	if c.cache == nil {
 		return
 	}
 	cp := *r
 	cp.Timings = Timings{} // cached verdicts cost nothing; don't replay stale timings
-	if cur != nil {
-		c.cache.PutDeps(key, c.depsFor(env, cur), &cp)
-		return
-	}
-	c.cache.Put(key, epoch, &cp)
+	c.cache.Put(key, c.depsFor(env, cur), &cp)
 }

@@ -10,7 +10,6 @@ package controller
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -195,7 +194,7 @@ func (d *Deployment) setStatus(s DeploymentStatus) { d.status.Store(int32(s)) }
 
 // onNetwork reports whether the module is part of the compiled
 // network: a failed one is out of service and a migrating one is being
-// re-placed, so placement and the cache epochs treat both as absent.
+// re-placed, so placement and the cache digests treat both as absent.
 func (d *Deployment) onNetwork() bool {
 	s := d.Status()
 	return s != StatusFailed && s != StatusMigrating
@@ -293,35 +292,6 @@ type Options struct {
 	// DefaultAdmissionCache, negative = caching disabled). See
 	// cache.go for the key discipline.
 	AdmissionCache int
-	// AdmissionWorkers fans symbolic path exploration across a
-	// bounded work-stealing pool (0 = GOMAXPROCS, negative = 1).
-	// Result merging is deterministic, so reports are byte-identical
-	// to sequential runs at any worker count (the parallel
-	// differential battery enforces this).
-	AdmissionWorkers int
-	// ElementMemo bounds the per-element symbolic-execution memo
-	// (entries; 0 = symexec.DefaultMemoEntries, negative = disabled).
-	// Structurally shared sub-chains across tenants verify once.
-	ElementMemo int
-	// WholesaleInvalidation reverts placement/query cache entries to
-	// the legacy epoch-tagged discipline where ANY topology mutation
-	// (deploy, kill, outage) invalidates every placement-dependent
-	// entry. Default (false) is epoch-delta invalidation: entries
-	// record which platforms/modules the check depended on and
-	// survive unrelated mutations. Kept for the incremental
-	// equivalence property test and benchmark comparisons.
-	WholesaleInvalidation bool
-}
-
-// workers resolves AdmissionWorkers to an effective pool size.
-func (o Options) workers() int {
-	if o.AdmissionWorkers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.AdmissionWorkers < 0 {
-		return 1
-	}
-	return o.AdmissionWorkers
 }
 
 // admissionBudget resolves the options into a per-check step budget
@@ -365,16 +335,10 @@ type Controller struct {
 	// with ErrNotLeader (see replication.go).
 	role Role
 	// cache memoizes symbolic-execution verdicts (nil = disabled);
-	// epoch content-addresses the deployment set + platform health
-	// for placement-dependent entries, recomputed when epochDirty.
-	cache      *symexec.Cache
-	epoch      string
-	epochDirty bool
-	// memo short-circuits repeated per-element symbolic executions
-	// across admissions (nil = disabled); digests is the dependency
-	// token table for epoch-delta invalidation, recomputed when
-	// digestsDirty (see cache.go).
-	memo         *symexec.Memo
+	// digests is the dependency token table placement-dependent
+	// entries are validated against, recomputed when digestsDirty (see
+	// cache.go).
+	cache        *symexec.Cache
 	digests      map[string]string
 	digestsDirty bool
 	// tracer/tel are the attached telemetry sinks (nil = dark); span
@@ -407,18 +371,12 @@ func NewWithOptions(topo *topology.Topology, operatorPolicy string, opts Options
 	if cacheSize == 0 {
 		cacheSize = DefaultAdmissionCache
 	}
-	memoSize := opts.ElementMemo
-	if memoSize == 0 {
-		memoSize = symexec.DefaultMemoEntries
-	}
 	c := &Controller{
 		opts:         opts,
 		topo:         topo,
 		deployments:  make(map[string]*Deployment),
 		platformDown: make(map[string]bool),
 		cache:        symexec.NewCache(cacheSize), // nil (disabled) when cacheSize < 0
-		memo:         symexec.NewMemo(memoSize),   // nil (disabled) when memoSize < 0
-		epochDirty:   true,
 		digestsDirty: true,
 	}
 	if strings.TrimSpace(operatorPolicy) != "" {
@@ -433,8 +391,7 @@ func NewWithOptions(topo *topology.Topology, operatorPolicy string, opts Options
 	if err != nil {
 		return nil, fmt.Errorf("controller: %v", err)
 	}
-	env := &policy.CheckEnv{Net: net, Map: nm, ClientNet: topo.ClientNet,
-		Workers: opts.workers(), Memo: c.memo}
+	env := &policy.CheckEnv{Net: net, Map: nm, ClientNet: topo.ClientNet}
 	for _, r := range c.operatorPolicy {
 		res, err := r.Check(env)
 		if err != nil {
@@ -646,8 +603,6 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 			BanConnectionlessReplies: c.opts.BanConnectionlessReplies,
 			MaxSteps:                 steps,
 			Deadline:                 deadline,
-			Workers:                  c.opts.workers(),
-			Memo:                     c.memo,
 		}, src)
 		if err != nil {
 			return nil, "", budgetRejection(err)
@@ -713,7 +668,6 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 		env = &policy.CheckEnv{
 			Net: net, Map: nm, ClientNet: c.topo.ClientNet,
 			MaxSteps: steps, Deadline: deadline,
-			Workers: c.opts.workers(), Memo: c.memo,
 		}
 	}
 	timings.Compile += placement
@@ -800,16 +754,10 @@ func namesOverlap(a, b string) bool {
 // was there and still valid.
 func (c *Controller) lookupPlacementLocked(key string) (string, bool) {
 	lstart := time.Now()
-	var v any
-	var ok bool
-	if c.deltaEnabled() {
-		cur := c.digestsLocked()
-		v, ok = c.cache.GetValidated(key, func(deps map[string]string) bool {
-			return depsValid(deps, cur)
-		})
-	} else {
-		v, ok = c.cache.Get(key, c.epochLocked())
-	}
+	cur := c.digestsLocked()
+	v, ok := c.cache.Get(key, func(deps map[string]string) bool {
+		return depsValid(deps, cur)
+	})
 	if !ok {
 		c.stageLocked(StageCacheLookup, lstart, "placement: miss")
 		return "", false
@@ -829,19 +777,16 @@ func (c *Controller) lookupPlacementLocked(key string) (string, bool) {
 //
 // key, when non-empty, memoizes the outcome in the admission cache for
 // lookupPlacementLocked: the reason string (including "": fits) is a
-// pure function of the compiled snapshot and the requirement texts. In
-// epoch-delta mode (the default) the entry records the dependency
-// tokens the checks actually touched — the platforms whose module sets
-// the symbolic runs visited and the module names the requirements
-// referenced — and stays hot across unrelated topology mutations;
-// under Options.WholesaleInvalidation it is epoch-tagged instead. The
-// tentative module itself needs no token: it is part of the cache key
-// (placementKey hashes its deployed source). Budget errors are never
-// cached.
+// pure function of the compiled snapshot and the requirement texts.
+// The entry records the dependency tokens the checks actually touched —
+// the platforms whose module sets the symbolic runs visited and the
+// module names the requirements referenced — and stays hot across
+// unrelated topology mutations. The tentative module itself needs no
+// token: it is part of the cache key (placementKey hashes its deployed
+// source). Budget errors are never cached.
 func (c *Controller) checkPlacementLocked(platformName string, reqs []*policy.Requirement, env *policy.CheckEnv, key string) (string, error) {
 	useCache := c.cache != nil && key != ""
-	delta := useCache && !c.opts.WholesaleInvalidation
-	if delta {
+	if useCache {
 		env.Visited = make(map[string]bool)
 		env.RefNames = make(map[string]bool)
 	}
@@ -852,11 +797,7 @@ func (c *Controller) checkPlacementLocked(platformName string, reqs []*policy.Re
 		return reason, err
 	}
 	if useCache {
-		if delta {
-			c.cache.PutDeps(key, c.depsFor(env, c.digestsLocked()), reason)
-		} else {
-			c.cache.Put(key, c.epochLocked(), reason)
-		}
+		c.cache.Put(key, c.depsFor(env, c.digestsLocked()), reason)
 	}
 	return reason, nil
 }
@@ -971,7 +912,7 @@ func (c *Controller) Failover(name string) (migrated []Migration, failed []*Depl
 		// tentative snapshots compiled by placeLocked do not include the
 		// unreachable module.
 		d.setStatus(StatusMigrating)
-		c.bumpEpochLocked()
+		c.topologyChangedLocked()
 		c.beginSpanLocked("failover", id)
 		nd, err := c.placeLocked(d.req, nil)
 		if err != nil {
@@ -1057,22 +998,19 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 	key := queryKey(requirements, steps)
 	c.mu.Lock()
 	hosted := c.hostedLocked(nil)
-	var epoch string
 	var cur map[string]string
-	if c.deltaEnabled() {
+	if c.cache != nil {
 		// digestsLocked builds a fresh map on every recompute and
 		// never mutates one in place, so the snapshot reference is
 		// safe to read after unlocking.
 		cur = c.digestsLocked()
-	} else {
-		epoch = c.epochLocked()
 	}
 	c.mu.Unlock()
 	// A cached verdict for this requirement text whose dependency
-	// tokens (or epoch) still match answers the probe without
-	// compiling or exploring anything — the §8 reachability probe
-	// becomes a hash lookup under steady traffic.
-	if res, ok := c.cachedQuery(key, epoch, cur); ok {
+	// tokens still match answers the probe without compiling or
+	// exploring anything — the §8 reachability probe becomes a hash
+	// lookup under steady traffic.
+	if res, ok := c.cachedQuery(key, cur); ok {
 		return res, nil
 	}
 	out := &QueryResult{Satisfied: true}
@@ -1085,7 +1023,6 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 	env := &policy.CheckEnv{
 		Net: net, Map: nm, ClientNet: c.topo.ClientNet,
 		MaxSteps: steps, Deadline: deadline,
-		Workers: c.opts.workers(), Memo: c.memo,
 	}
 	if cur != nil {
 		env.Visited = make(map[string]bool)
@@ -1104,7 +1041,7 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 		}
 	}
 	out.Timings.Check = time.Since(checkStart)
-	c.putQuery(key, epoch, cur, env, out)
+	c.putQuery(key, cur, env, out)
 	return out, nil
 }
 

@@ -31,7 +31,7 @@ in -> sp -> fwd -> out;
 
 // admissionScript runs the scripted sequence and serializes every
 // outcome. The script ends with the deployment set empty, so a second
-// pass starts from the same topology epoch it began with.
+// pass starts from the same dependency digests it began with.
 func admissionScript(c *Controller) string {
 	var b strings.Builder
 	deploy := func(label string, req Request) string {
@@ -122,6 +122,30 @@ func TestAdmissionCacheDifferential(t *testing.T) {
 	// kill, so even it must see some hits.
 	if statsAfterFirst.Hits == 0 {
 		t.Errorf("redeploy within first pass missed the cache: %+v", statsAfterFirst)
+	}
+}
+
+// TestParallelAdmissionScriptDifferential runs the scripted sequence
+// side by side through an uncached controller and cached ones whose
+// capacity ranges from a single entry (every lookup after the next
+// store is an eviction victim) to the default. Every cached transcript,
+// cold pass and warm pass alike, must match the uncached one byte for
+// byte: eviction order can cost hits, never change a verdict.
+func TestParallelAdmissionScriptDifferential(t *testing.T) {
+	base := admissionScript(newDifferentialController(t, -1))
+	for _, size := range []int{1, 4, 0} {
+		c := newDifferentialController(t, size)
+		if got := admissionScript(c); got != base {
+			t.Errorf("cache=%d cold pass diverges from uncached:\n--- uncached ---\n%s--- cached ---\n%s", size, base, got)
+		}
+		if got := admissionScript(c); got != base {
+			t.Errorf("cache=%d warm pass diverges from uncached:\n--- uncached ---\n%s--- cached ---\n%s", size, base, got)
+		}
+		// The tiny caches must actually evict, the default one must hit,
+		// or the variant proves nothing.
+		if s := c.CacheStats(); (size > 0 && s.Evictions == 0) || (size == 0 && s.Hits == 0) {
+			t.Errorf("cache=%d: variant not exercised: %+v", size, s)
+		}
 	}
 }
 

@@ -10,60 +10,36 @@ import (
 	_ "github.com/in-net/innet/internal/elements"
 	"github.com/in-net/innet/internal/packet"
 	"github.com/in-net/innet/internal/security"
-	"github.com/in-net/innet/internal/topology"
 )
 
-// Epoch-delta invalidation must be an invisible optimization: a
-// controller validating cached placement/query entries against
-// per-platform dependency digests has to hand out exactly the
-// verdicts of one that throws every placement-dependent entry away on
-// any topology mutation. TestQuickIncrementalEquivalence drives
-// seeded random mutation sequences — deploys, kills, outages,
-// recoveries, failovers, queries — through a delta and a wholesale
-// controller in lockstep and diffs the full transcripts; the quick
-// seed in a failure report replays the exact sequence.
-// TestDeltaSurvivesOutage pins the headline win directly: a platform
-// health flip costs the wholesale controller its warm entries but not
-// the delta controller.
-
-func newModeController(t *testing.T, wholesale bool) *Controller {
-	t.Helper()
-	topo, err := topology.PaperFig3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewWithOptions(topo, operatorHTTPPolicy, Options{WholesaleInvalidation: wholesale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
+// Delta invalidation must be an invisible optimization: a controller
+// validating cached placement/query entries against per-platform
+// dependency digests has to hand out exactly the verdicts of one that
+// caches nothing. TestQuickIncrementalEquivalence drives seeded random
+// mutation sequences — deploys, kills, outages, recoveries, failovers,
+// queries — through a cached and an uncached controller in lockstep
+// and diffs the full transcripts; the quick seed in a failure report
+// replays the exact sequence. TestDeltaSurvivesOutage pins the
+// headline win directly: a platform health flip leaves warm entries
+// hot.
 
 func TestDeltaSurvivesOutage(t *testing.T) {
-	run := func(wholesale bool) (warmHit bool) {
-		c := newModeController(t, wholesale)
-		if _, err := c.Deploy(batcherRequest()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Query(batcherRequirements); err != nil { // populate
-			t.Fatal(err)
-		}
-		// A health flip mutates no deployed module set, so delta
-		// entries must survive it; the wholesale epoch includes the
-		// down-set and cannot. (One-way flip: the content-derived
-		// epoch would return to its old value after down+up.)
-		c.MarkPlatformDown("Platform1")
-		before := c.CacheStats().Hits
-		if _, err := c.Query(batcherRequirements); err != nil {
-			t.Fatal(err)
-		}
-		return c.CacheStats().Hits > before
+	c := newDifferentialController(t, 0)
+	if _, err := c.Deploy(batcherRequest()); err != nil {
+		t.Fatal(err)
 	}
-	if run(true) {
-		t.Error("wholesale mode answered from cache across an epoch bump (test premise broken)")
+	if _, err := c.Query(batcherRequirements); err != nil { // populate
+		t.Fatal(err)
 	}
-	if !run(false) {
-		t.Error("delta mode re-verified a query no mutation touched")
+	// A health flip mutates no deployed module set, so the entry's
+	// dependency tokens still hold.
+	c.MarkPlatformDown("Platform1")
+	before := c.CacheStats().Hits
+	if _, err := c.Query(batcherRequirements); err != nil {
+		t.Fatal(err)
+	}
+	if c.CacheStats().Hits == before {
+		t.Error("delta invalidation re-verified a query no mutation touched")
 	}
 }
 
@@ -175,12 +151,10 @@ func mutationScriptEach(c *Controller, seed uint64, ops int, after func(op int))
 
 func TestQuickIncrementalEquivalence(t *testing.T) {
 	property := func(seed uint64) bool {
-		delta := newModeController(t, false)
-		wholesale := newModeController(t, true)
-		got := mutationScript(delta, seed, 14)
-		want := mutationScript(wholesale, seed, 14)
+		got := mutationScript(newDifferentialController(t, 0), seed, 14)
+		want := mutationScript(newDifferentialController(t, -1), seed, 14)
 		if got != want {
-			t.Errorf("seed %d: delta transcript diverges from wholesale:\n--- wholesale ---\n%s--- delta ---\n%s", seed, want, got)
+			t.Errorf("seed %d: cached transcript diverges from uncached:\n--- uncached ---\n%s--- cached ---\n%s", seed, want, got)
 			return false
 		}
 		return true

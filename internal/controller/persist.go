@@ -136,7 +136,7 @@ func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
 		// EvTerm: leadership bookkeeping lives in the journal state.
 		return
 	}
-	c.bumpEpochLocked()
+	c.topologyChangedLocked()
 }
 
 // loadStateLocked replaces the controller's state with a folded
@@ -164,7 +164,7 @@ func (c *Controller) loadStateLocked(st *journal.State) error {
 	c.Rejections = st.Rejections
 	c.Migrations = st.Migrations
 	c.FailedMigrations = st.FailedMigrations
-	c.bumpEpochLocked()
+	c.topologyChangedLocked()
 	return nil
 }
 
@@ -324,7 +324,7 @@ func Restore(topo *topology.Topology, operatorPolicy string, opts Options, st *j
 			report.Reattached = append(report.Reattached, id)
 		}
 	}
-	c.bumpEpochLocked()
+	c.topologyChangedLocked()
 	// Pass 2: placement-only recovery for vanished platforms. A module
 	// that fits nowhere is kept, failed: capacity may return.
 	for _, id := range vanished {

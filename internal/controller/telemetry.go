@@ -103,26 +103,9 @@ func (c *Controller) AttachTelemetry(r *telemetry.Registry, tr *telemetry.Tracer
 		"Admission-cache LRU evictions.",
 		func() float64 { return float64(c.CacheStats().Evictions) })
 	r.CounterFunc("innet_admission_cache_invalidations_total",
-		"Admission-cache entries dropped on epoch change.",
+		"Admission-cache entries dropped because their dependencies changed.",
 		func() float64 { return float64(c.CacheStats().Invalidations) })
 
-	// Same bridging for the per-element symexec memo (c.memo is
-	// immutable after construction and Stats is nil-safe).
-	r.CounterFunc("innet_admission_memo_hits_total",
-		"Per-element symexec memo hits (element executions skipped).",
-		func() float64 { return float64(c.MemoStats().Hits) })
-	r.CounterFunc("innet_admission_memo_misses_total",
-		"Per-element symexec memo misses.",
-		func() float64 { return float64(c.MemoStats().Misses) })
-	r.CounterFunc("innet_admission_memo_unsupported_total",
-		"Element executions whose effects could not be captured as a recipe.",
-		func() float64 { return float64(c.MemoStats().Unsupported) })
-	r.CounterFunc("innet_admission_memo_evictions_total",
-		"Per-element symexec memo LRU evictions.",
-		func() float64 { return float64(c.MemoStats().Evictions) })
-	r.GaugeFunc("innet_admission_memo_entries",
-		"Per-element symexec memo resident entries.",
-		func() float64 { return float64(c.MemoStats().Entries) })
 }
 
 // SetRecorder wires a flight recorder into the controller. Like

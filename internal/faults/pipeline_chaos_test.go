@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"github.com/in-net/innet/internal/click"
@@ -29,18 +28,11 @@ ttl[1] -> d;
 
 const pipelineChaosModule = uint32(0xc0000205)
 
-// chaosEgress records per-flow egress sequences; the engine's workers
-// call Transmit concurrently, so appends are locked (per-flow order is
-// still deterministic: a flow never leaves its worker).
-type chaosEgress struct {
-	mu   sync.Mutex
-	flow map[uint32][]string
-}
+// chaosEgress records per-flow egress sequences.
+type chaosEgress map[uint32][]string
 
-func (r *chaosEgress) record(iface int, p *packet.Packet) {
-	r.mu.Lock()
-	r.flow[p.UserID] = append(r.flow[p.UserID], fmt.Sprintf("i%d ttl=%d %s", iface, p.TTL, p.Payload))
-	r.mu.Unlock()
+func (r chaosEgress) record(iface int, p *packet.Packet) {
+	r[p.UserID] = append(r[p.UserID], fmt.Sprintf("i%d ttl=%d %s", iface, p.TTL, p.Payload))
 }
 
 // pipelineChaosSchedule builds a seeded traffic/outage script: bursts
@@ -103,7 +95,7 @@ func pipelineChaosSchedule(seed int64) []chaosEvent {
 func runPipelineChaosGraph(t *testing.T, sched []chaosEvent) (map[uint32][]string, *elements.Counter) {
 	t.Helper()
 	r := click.MustBuildString(pipelineChaosChain)
-	eg := &chaosEgress{flow: map[uint32][]string{}}
+	eg := chaosEgress{}
 	ctx := &click.Context{Transmit: eg.record}
 	s := vswitch.NewSharded(4)
 	s.Install(vswitch.Rule{Priority: 1, Match: vswitch.Match{DstIP: pipelineChaosModule},
@@ -121,37 +113,31 @@ func runPipelineChaosGraph(t *testing.T, sched []chaosEvent) (map[uint32][]strin
 			s.ProcessBatch(e.pkts)
 		}
 	}
-	return eg.flow, r.Element("cnt").(*elements.Counter)
+	return eg, r.Element("cnt").(*elements.Counter)
 }
 
-// runPipelineChaosEngine replays the same schedule in pipeline mode:
-// the switch's batch sink feeds an affinity-partitioned engine.
-func runPipelineChaosEngine(t *testing.T, sched []chaosEvent, workers int) (map[uint32][]string, *pipeline.Engine) {
+// runPipelineChaosExec replays the same schedule in pipeline mode: the
+// switch's batch sink feeds one compiled Exec.
+func runPipelineChaosExec(t *testing.T, sched []chaosEvent) (map[uint32][]string, *elements.Counter) {
 	t.Helper()
-	eg := &chaosEgress{flow: map[uint32][]string{}}
-	eng, err := pipeline.NewEngineString(pipelineChaosChain, pipeline.Config{
-		Workers: workers,
-		Transmit: func(worker, iface int, p *packet.Packet) {
-			eg.record(iface, p)
-		},
-	})
+	prog, err := pipeline.CompileConfig(pipelineChaosChain)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eg := chaosEgress{}
+	x := pipeline.NewExec(prog)
+	x.Transmit = eg.record
 	s := vswitch.NewSharded(4)
 	s.Install(vswitch.Rule{Priority: 1, Match: vswitch.Match{DstIP: pipelineChaosModule},
 		Action: vswitch.ActToModule, Module: pipelineChaosModule})
 	s.ToModuleBatch = func(mod uint32, pkts []*packet.Packet) {
-		eng.Dispatch(0, pkts)
+		if err := x.Run(0, pkts); err != nil {
+			t.Error(err)
+		}
 	}
 	for _, e := range sched {
 		switch {
 		case e.down:
-			// "Mid-batch": the engine may still be chewing the first
-			// half of the burst when the outage opens. Drain so the
-			// buffered-vs-processed split is the event boundary, as it
-			// is for the synchronous graph walk.
-			eng.Drain()
 			s.SetDown(true)
 		case e.up:
 			s.SetDown(false)
@@ -159,54 +145,44 @@ func runPipelineChaosEngine(t *testing.T, sched []chaosEvent, workers int) (map[
 			s.ProcessBatch(e.pkts)
 		}
 	}
-	eng.Drain()
-	return eg.flow, eng
+	return eg, prog.Router().Element("cnt").(*elements.Counter)
 }
 
 // TestChaosPipelineOutageReplay drives seeded outage schedules through
 // graph-walk and compiled-pipeline modes and requires identical
 // per-flow egress (payload order and TTL rewrites) and element state.
-// The switch buffers during the outage and replays on recovery in both
-// modes; the pipeline engine must preserve that per-flow story at
-// every worker width.
+// The switch buffers during the outage, which opens mid-batch, and
+// replays on recovery in both modes; the batched pipeline path must
+// preserve that per-flow story.
 func TestChaosPipelineOutageReplay(t *testing.T) {
 	seeds := []int64{1, 7, 23, 51, 94}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	for _, seed := range seeds {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
-				// Same seed, fresh packet objects per run: both modes
-				// mutate the packets they carry (DecIPTTL).
-				wantFlows, wantCnt := runPipelineChaosGraph(t, pipelineChaosSchedule(seed))
-				gotFlows, eng := runPipelineChaosEngine(t, pipelineChaosSchedule(seed), workers)
-				defer eng.Close()
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			// Same seed, fresh packet objects per run: both modes
+			// mutate the packets they carry (DecIPTTL).
+			wantFlows, wantCnt := runPipelineChaosGraph(t, pipelineChaosSchedule(seed))
+			gotFlows, gotCnt := runPipelineChaosExec(t, pipelineChaosSchedule(seed))
 
-				if len(gotFlows) != len(wantFlows) {
-					t.Fatalf("flows: got %d want %d", len(gotFlows), len(wantFlows))
+			if len(gotFlows) != len(wantFlows) {
+				t.Fatalf("flows: got %d want %d", len(gotFlows), len(wantFlows))
+			}
+			for f, want := range wantFlows {
+				got := gotFlows[f]
+				if len(got) != len(want) {
+					t.Fatalf("flow %d: %d egresses, want %d", f, len(got), len(want))
 				}
-				for f, want := range wantFlows {
-					got := gotFlows[f]
-					if len(got) != len(want) {
-						t.Fatalf("flow %d: %d egresses, want %d", f, len(got), len(want))
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("flow %d egress %d: got %q want %q", f, i, got[i], want[i])
 					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("flow %d egress %d: got %q want %q", f, i, got[i], want[i])
-						}
-					}
 				}
-				var pkts, bytes uint64
-				for w := 0; w < eng.Workers(); w++ {
-					c := eng.Router(w).Element("cnt").(*elements.Counter)
-					pkts += c.Packets
-					bytes += c.Bytes
-				}
-				if pkts != wantCnt.Packets || bytes != wantCnt.Bytes {
-					t.Fatalf("counter: engine %d/%d, graph %d/%d", pkts, bytes, wantCnt.Packets, wantCnt.Bytes)
-				}
-			})
-		}
+			}
+			if gotCnt.Packets != wantCnt.Packets || gotCnt.Bytes != wantCnt.Bytes {
+				t.Fatalf("counter: pipeline %d/%d, graph %d/%d", gotCnt.Packets, gotCnt.Bytes, wantCnt.Packets, wantCnt.Bytes)
+			}
+		})
 	}
 }

@@ -63,8 +63,7 @@ type stage struct {
 }
 
 // Program is a compiled router. A Program itself is immutable; run it
-// through an Exec (single worker) or an Engine (N workers with flow
-// affinity).
+// through an Exec.
 type Program struct {
 	router *click.Router
 	stages []stage
@@ -203,8 +202,7 @@ func Compile(r *click.Router) (*Program, error) {
 // unsupported names why a class stays on the graph walk, or "" when it
 // compiles. Every class steps the same way on both dataplanes; these
 // are the ones whose *schedule* differs: they either interleave packets
-// across outputs in arrival order (per-worker Engine replicas would
-// diverge from the sequential walk) or move packets on their own clock.
+// across outputs in arrival order or move packets on their own clock.
 func unsupported(el click.Element) string {
 	switch el.(type) {
 	case *elements.RoundRobinSwitch:

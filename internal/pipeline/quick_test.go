@@ -2,25 +2,18 @@ package pipeline
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
-	"github.com/in-net/innet/internal/click"
 	"github.com/in-net/innet/internal/elements"
 	"github.com/in-net/innet/internal/packet"
 )
 
-// The flow-affinity property: partitioning traffic across N pipeline
-// workers by AffinityHash leaves every stateful element's per-flow
-// state exactly as a sequential graph-walk over one router would,
-// because each flow (and its reverse) is owned by a single worker and
-// processed in submission order.
-//
-// The property is checked with testing/quick over a seeded generator:
-// each sample is a random schedule of forward and reply packets over a
-// random flow population, with time advancing past the firewall
-// timeout often enough to exercise expiry.
+// The stateful-schedule property: a random two-source schedule of
+// forward and reply packets through a stateful firewall and a flow
+// meter, with time advancing past the firewall timeout often enough to
+// exercise expiry, leaves the compiled pipeline's egress, drops and
+// per-flow element state exactly as the graph walk leaves them.
 
 const quickConfig = `
 a :: FromNetfront(0);
@@ -35,14 +28,10 @@ fw[0] -> fm -> o0;
 fw[1] -> o1;
 `
 
-type quickEvent struct {
-	src int // 0 = outbound (policy side), 1 = inbound reply
-	pk  *packet.Packet
-	now int64
-}
-
-// genSchedule derives a deterministic traffic schedule from one seed.
-func genSchedule(seed int64) []quickEvent {
+// genSchedule derives a deterministic traffic schedule from one seed:
+// one single-packet step per event; src 0 is outbound (policy side),
+// src 1 an inbound reply under the reversed tuple.
+func genSchedule(seed int64) []step {
 	rng := rand.New(rand.NewSource(seed))
 	nflows := 2 + rng.Intn(14)
 	flows := make([]packet.FiveTuple, nflows)
@@ -60,7 +49,7 @@ func genSchedule(seed int64) []quickEvent {
 		}
 	}
 	n := 20 + rng.Intn(100)
-	evs := make([]quickEvent, 0, n)
+	steps := make([]step, 0, n)
 	now := int64(0)
 	for i := 0; i < n; i++ {
 		// Occasionally jump past the 5ns firewall timeout so replay
@@ -73,106 +62,50 @@ func genSchedule(seed int64) []quickEvent {
 		f := flows[rng.Intn(nflows)]
 		pk := &packet.Packet{TTL: 64, Payload: []byte("q")}
 		src := 0
-		if rng.Intn(3) == 0 { // a reply, under the reversed tuple
+		if rng.Intn(3) == 0 {
 			src = 1
 			f = f.Reverse()
 		}
 		pk.SrcIP, pk.DstIP = f.SrcIP, f.DstIP
 		pk.SrcPort, pk.DstPort = f.SrcPort, f.DstPort
 		pk.Protocol = f.Protocol
-		evs = append(evs, quickEvent{src: src, pk: pk, now: now})
+		steps = append(steps, step{src: src, pkts: []*packet.Packet{pk}, now: now})
 	}
-	return evs
+	return steps
 }
 
-func cloneEvent(ev quickEvent) *packet.Packet {
-	pk := ev.pk.Clone()
-	return pk
-}
-
-func TestQuickFlowAffinityStateEquivalence(t *testing.T) {
-	prop := func(seed int64, workerBits uint8) bool {
-		evs := genSchedule(seed)
-		workers := 1 << (workerBits % 4) // 1, 2, 4, 8
-
-		// Sequential reference: one router, one goroutine, graph walk.
-		gr := click.MustBuildString(quickConfig)
-		var gnow int64
-		gctx := &click.Context{Now: func() int64 { return gnow }}
-		for _, ev := range evs {
-			gnow = ev.now
-			if err := gr.Inject(gctx, ev.src, cloneEvent(ev)); err != nil {
-				t.Fatalf("inject: %v", err)
-			}
-		}
-
-		// Engine: same schedule partitioned across workers. Drain after
-		// every submission so virtual time advances identically for
-		// every worker's kernels.
-		var enow atomic.Int64
-		eng, err := NewEngineString(quickConfig, Config{
-			Workers: workers,
-			Now:     func() int64 { return enow.Load() },
-		})
-		if err != nil {
-			t.Fatalf("engine: %v", err)
-		}
-		defer eng.Close()
-		for _, ev := range evs {
-			enow.Store(ev.now)
-			eng.Dispatch(ev.src, []*packet.Packet{cloneEvent(ev)})
-			eng.Drain()
-		}
-
-		gfw := gr.Element("fw").(*elements.StatefulFirewall)
-		gfm := gr.Element("fm").(*elements.FlowMeter)
-
-		// Per-flow state must match the worker that owns the flow.
-		for _, ev := range evs {
-			tup := ev.pk.Tuple()
-			if ev.src == 1 {
+func TestQuickStatefulScheduleDifferential(t *testing.T) {
+	prop := func(seed int64) bool {
+		steps := genSchedule(seed)
+		gr, cr := differential(t, quickConfig, steps)
+		gfw, cfw := gr.Element("fw").(*elements.StatefulFirewall), cr.Element("fw").(*elements.StatefulFirewall)
+		gfm, cfm := gr.Element("fm").(*elements.FlowMeter), cr.Element("fm").(*elements.FlowMeter)
+		for _, s := range steps {
+			tup := s.pkts[0].Tuple()
+			if s.src == 1 {
 				tup = tup.Reverse() // firewall state is keyed by the forward tuple
 			}
-			w := eng.WorkerOf(ev.pk)
-			wfw := eng.Router(w).Element("fw").(*elements.StatefulFirewall)
-			wfm := eng.Router(w).Element("fm").(*elements.FlowMeter)
 			gls, gok := gfw.LastSeen(tup)
-			wls, wok := wfw.LastSeen(tup)
-			if gok != wok || gls != wls {
-				t.Logf("seed=%d workers=%d flow=%v firewall last-seen: graph=(%d,%v) engine=(%d,%v)",
-					seed, workers, tup, gls, gok, wls, wok)
+			cls, cok := cfw.LastSeen(tup)
+			if gok != cok || gls != cls {
+				t.Logf("seed=%d flow=%v firewall last-seen: graph=(%d,%v) compiled=(%d,%v)", seed, tup, gls, gok, cls, cok)
 				return false
 			}
 			gp, gb, gok := gfm.Stats(tup)
-			wp, wb, wok := wfm.Stats(tup)
-			if gok != wok || gp != wp || gb != wb {
-				t.Logf("seed=%d workers=%d flow=%v meter: graph=(%d,%d,%v) engine=(%d,%d,%v)",
-					seed, workers, tup, gp, gb, gok, wp, wb, wok)
+			cp, cb, cok := cfm.Stats(tup)
+			if gok != cok || gp != cp || gb != cb {
+				t.Logf("seed=%d flow=%v meter: graph=(%d,%d,%v) compiled=(%d,%d,%v)", seed, tup, gp, gb, gok, cp, cb, cok)
 				return false
 			}
 		}
-
-		// Aggregates: flows partition disjointly across workers, so the
-		// sums must equal the sequential totals.
-		var active, metered int
-		var blocked uint64
-		for w := 0; w < eng.Workers(); w++ {
-			active += eng.Router(w).Element("fw").(*elements.StatefulFirewall).ActiveFlows()
-			metered += eng.Router(w).Element("fm").(*elements.FlowMeter).Flows()
-			blocked += eng.Router(w).Element("fw").(*elements.StatefulFirewall).Blocked
-		}
-		if active != gfw.ActiveFlows() || metered != gfm.Flows() || blocked != gfw.Blocked {
-			t.Logf("seed=%d workers=%d totals: graph active=%d metered=%d blocked=%d engine active=%d metered=%d blocked=%d",
-				seed, workers, gfw.ActiveFlows(), gfm.Flows(), gfw.Blocked, active, metered, blocked)
+		if gfw.ActiveFlows() != cfw.ActiveFlows() || gfm.Flows() != cfm.Flows() {
+			t.Logf("seed=%d totals: graph active=%d metered=%d compiled active=%d metered=%d",
+				seed, gfw.ActiveFlows(), gfm.Flows(), cfw.ActiveFlows(), cfm.Flows())
 			return false
 		}
-		return true
+		return !t.Failed()
 	}
-
-	cfg := &quick.Config{
-		MaxCount: 30,
-		Rand:     rand.New(rand.NewSource(0x17e7)),
-	}
+	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(0x17e7))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/in-net/innet/internal/click"
@@ -195,25 +196,29 @@ in -> out;
 	}
 }
 
-func TestEnginePathTraceMerge(t *testing.T) {
-	e, err := NewEngineString(`
+// TestExecPathTraceMerge traces through several Execs whose rings
+// share one sequence counter; MergeRecent interleaves them newest first.
+func TestExecPathTraceMerge(t *testing.T) {
+	src := `
 in :: FromNetfront();
 cnt :: Counter();
 out :: ToNetfront();
 in -> cnt -> out;
-`, Config{Workers: 4, Transmit: func(int, int, *packet.Packet) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	rings := e.EnablePathTrace(32, 1)
-	if len(rings) != 4 {
-		t.Fatalf("got %d rings, want 4", len(rings))
+`
+	seq := new(atomic.Uint64)
+	xs := make([]*Exec, 4)
+	rings := make([]*telemetry.PathRing, len(xs))
+	for i := range xs {
+		xs[i] = compileString(t, src)
+		xs[i].Transmit = func(int, *packet.Packet) {}
+		rings[i] = telemetry.NewPathRing(32, seq)
+		xs[i].EnablePathTrace(rings[i], 1)
 	}
 	for i := 0; i < 32; i++ {
-		e.Dispatch(0, []*packet.Packet{mkPacket(uint32(i+1), 0)})
+		if err := xs[i%len(xs)].RunOne(0, mkPacket(uint32(i+1), 0)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e.Drain()
 	merged := telemetry.MergeRecent(0, rings...)
 	if len(merged) != 32 {
 		t.Fatalf("merged %d traces, want 32", len(merged))
@@ -221,6 +226,21 @@ in -> cnt -> out;
 	for i := 1; i < len(merged); i++ {
 		if merged[i-1].Seq <= merged[i].Seq {
 			t.Fatalf("merge not newest-first at %d: %d then %d", i, merged[i-1].Seq, merged[i].Seq)
+		}
+	}
+}
+
+func TestAffinityHashSymmetric(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		tup := packet.FiveTuple{
+			SrcIP:    0x0a000000 + uint32(i*2654435761),
+			DstIP:    0xc0000200 + uint32(i*40503),
+			SrcPort:  uint16(1024 + i),
+			DstPort:  uint16(80 + i%7),
+			Protocol: packet.ProtoUDP,
+		}
+		if AffinityHash(tup) != AffinityHash(tup.Reverse()) {
+			t.Fatalf("hash not symmetric for %v", tup)
 		}
 	}
 }

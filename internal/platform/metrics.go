@@ -68,18 +68,17 @@ func (p *Platform) RegisterMetrics(r *telemetry.Registry, name string, lock sync
 			read(func() float64 { return float64(*v) }), "platform", name, "reason", d.reason)
 	}
 	// Compiled-pipeline work on this platform's simulated dataplane.
-	// Same families as Engine.RegisterMetrics, labeled by platform
-	// instead of worker; sums stay monotonic across VM destroys.
+	// Labeled by platform; sums stay monotonic across VM destroys.
 	pipeCounters := []struct {
 		suffix string
 		help   string
 		pick   func(pk, ba, dr uint64) uint64
 	}{
-		{"packets", "Packets run to completion by a pipeline worker.",
+		{"packets", "Packets run to completion by compiled pipelines.",
 			func(pk, _, _ uint64) uint64 { return pk }},
-		{"batches", "Batches run to completion by a pipeline worker.",
+		{"batches", "Batches run to completion by compiled pipelines.",
 			func(_, ba, _ uint64) uint64 { return ba }},
-		{"drops", "Packets dropped inside a pipeline worker's program.",
+		{"drops", "Packets dropped inside compiled pipeline programs.",
 			func(_, _, dr uint64) uint64 { return dr }},
 	}
 	for _, c := range pipeCounters {

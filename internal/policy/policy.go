@@ -278,16 +278,12 @@ type CheckEnv struct {
 	// Deadline aborts checking once the wall clock passes it (zero =
 	// no deadline).
 	Deadline time.Time
-	// Workers / Memo are passed through to every reachability run
-	// (see symexec.Injection); they never affect results.
-	Workers int
-	Memo    *symexec.Memo
 	// Visited, when non-nil, accumulates the name of every compiled
 	// node some reachability run of this environment executed. A
 	// check's outcome is a function of the models of visited nodes
 	// only — an unvisited node's model never ran, so changing it
 	// cannot alter any flow the check observed — which makes Visited
-	// the dependency footprint for epoch-delta cache invalidation.
+	// the dependency footprint for delta cache invalidation.
 	Visited map[string]bool
 	// RefNames, when non-nil, accumulates requirement node references
 	// resolved *by name* (modules, module elements, topology nodes):
@@ -387,7 +383,6 @@ func (r *Requirement) Check(env *CheckEnv) (*CheckResult, error) {
 			run, rerr := env.Net.Run(symexec.Injection{
 				Node: injNode, State: st, MaxHops: env.MaxHops,
 				MaxSteps: budget, Deadline: env.Deadline,
-				Workers: env.Workers, Memo: env.Memo,
 			})
 			if run != nil {
 				res.Steps += run.Steps

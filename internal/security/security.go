@@ -135,14 +135,6 @@ type Input struct {
 	// error so the controller can reject instead of hang.
 	MaxSteps int
 	Deadline time.Time
-	// Workers fans path exploration across a worker pool and Memo
-	// short-circuits per-element executions (see symexec.Injection).
-	// Neither affects the Report in any way — parallel merge order is
-	// deterministic and memo replay is exact — which the differential
-	// battery in internal/controller enforces; they are therefore
-	// excluded from admission cache keys.
-	Workers int
-	Memo    *symexec.Memo
 }
 
 // FlowFinding reports one egress flow's analysis.
@@ -222,7 +214,6 @@ func Check(in Input) (*Report, error) {
 		res, err := net.Run(symexec.Injection{
 			Node: entry, State: init,
 			MaxSteps: in.MaxSteps, Deadline: in.Deadline,
-			Workers: in.Workers, Memo: in.Memo,
 		})
 		if err != nil {
 			return nil, err

@@ -12,16 +12,16 @@ import (
 // requests retried verbatim — and each run is pure: the verdict is a
 // function of the canonicalized inputs. Entries are therefore
 // content-addressed (the caller hashes the inputs into the key) and
-// tagged with an epoch:
+// carry an optional dependency set:
 //
-//   - AnyEpoch entries hold placement-independent results (the
-//     security check of a standalone module) and hit regardless of
-//     what else is deployed.
-//   - Epoch-tagged entries hold results computed against a specific
-//     network snapshot (requirement/policy checks over the compiled
-//     topology). A Get with a different epoch is a miss AND evicts the
-//     stale entry — epoch invalidation is lazy, paid on lookup, so a
-//     deployment-set change is O(1) no matter how full the cache is.
+//   - Entries stored with nil deps hold placement-independent results
+//     (the security check of a standalone module) and always hit.
+//   - Entries stored with deps hold results computed against a network
+//     snapshot (requirement/policy checks over the compiled topology).
+//     Get revalidates the recorded token→digest map and, when it no
+//     longer holds, evicts the entry and reports a miss: invalidation
+//     is lazy, paid on lookup, so a topology change costs nothing until
+//     an entry that depends on it is read.
 //
 // The zero value is unusable; NewCache sizes the LRU. A nil *Cache is
 // a valid always-miss cache, so callers can disable caching without
@@ -35,19 +35,8 @@ type Cache struct {
 	hits, misses, evictions, invalidations uint64
 }
 
-// AnyEpoch marks an entry as placement-independent: it hits at every
-// epoch.
-const AnyEpoch = ""
-
 type cacheEntry struct {
 	key   string
-	epoch string
-	// deps, when non-nil, makes validity dependency-driven instead of
-	// epoch-driven: the entry is valid while every recorded token
-	// still digests to the recorded value (see GetValidated). This is
-	// the epoch-delta alternative to wholesale epoch tagging — a
-	// topology change only invalidates entries whose dependency set
-	// it actually touches.
 	deps  map[string]string
 	value any
 }
@@ -65,10 +54,11 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Get returns the cached value for key if present and valid at epoch.
-// An entry stored under a different (non-AnyEpoch) epoch is deleted
-// and reported as a miss.
-func (c *Cache) Get(key, epoch string) (any, bool) {
+// Get returns the cached value for key if present and still valid. An
+// entry with a dependency set is valid while valid(deps) reports true
+// (a nil valid rejects every such entry); a stale entry is deleted and
+// reported as a miss.
+func (c *Cache) Get(key string, valid func(deps map[string]string) bool) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -80,7 +70,7 @@ func (c *Cache) Get(key, epoch string) (any, bool) {
 		return nil, false
 	}
 	e := el.Value.(*cacheEntry)
-	if e.deps != nil || (e.epoch != AnyEpoch && e.epoch != epoch) {
+	if e.deps != nil && (valid == nil || !valid(e.deps)) {
 		c.lru.Remove(el)
 		delete(c.idx, key)
 		c.invalidations++
@@ -92,41 +82,11 @@ func (c *Cache) Get(key, epoch string) (any, bool) {
 	return e.value, true
 }
 
-// GetValidated returns the cached value for key if present and its
-// dependency set is still current: valid is called with the entry's
-// recorded token→digest map and must report whether every token still
-// digests to the recorded value. A stale entry is deleted and
-// reported as a miss (like epoch invalidation, the cost is paid
-// lazily on lookup). Entries stored with Put (epoch-tagged, nil deps)
-// hit unconditionally — AnyEpoch semantics.
-func (c *Cache) GetValidated(key string, valid func(deps map[string]string) bool) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.idx[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.deps != nil && !valid(e.deps) {
-		c.lru.Remove(el)
-		delete(c.idx, key)
-		c.invalidations++
-		c.misses++
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits++
-	return e.value, true
-}
-
-// PutDeps stores value under key with a dependency set for
-// GetValidated. The deps map is retained; callers must not mutate it
-// afterwards.
-func (c *Cache) PutDeps(key string, deps map[string]string, value any) {
+// Put stores value under key with an optional dependency set for Get
+// (nil: always valid). The deps map is retained; callers must not
+// mutate it afterwards. The least-recently-used entry is evicted once
+// the cache is full.
+func (c *Cache) Put(key string, deps map[string]string, value any) {
 	if c == nil {
 		return
 	}
@@ -134,7 +94,6 @@ func (c *Cache) PutDeps(key string, deps map[string]string, value any) {
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
 		e := el.Value.(*cacheEntry)
-		e.epoch = AnyEpoch
 		e.deps = deps
 		e.value = value
 		c.lru.MoveToFront(el)
@@ -149,31 +108,6 @@ func (c *Cache) PutDeps(key string, deps map[string]string, value any) {
 	c.idx[key] = c.lru.PushFront(&cacheEntry{key: key, deps: deps, value: value})
 }
 
-// Put stores value under key, tagged with epoch (AnyEpoch for
-// placement-independent results). The least-recently-used entry is
-// evicted once the cache is full.
-func (c *Cache) Put(key, epoch string, value any) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.idx[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.epoch = epoch
-		e.value = value
-		c.lru.MoveToFront(el)
-		return
-	}
-	for c.lru.Len() >= c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.idx, back.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-	c.idx[key] = c.lru.PushFront(&cacheEntry{key: key, epoch: epoch, value: value})
-}
-
 // Len returns the number of resident entries.
 func (c *Cache) Len() int {
 	if c == nil {
@@ -186,11 +120,11 @@ func (c *Cache) Len() int {
 
 // CacheStats is a point-in-time counter snapshot.
 type CacheStats struct {
-	// Hits and Misses count Get outcomes (an epoch-invalidated lookup
-	// counts as both a miss and an invalidation).
+	// Hits and Misses count Get outcomes (an invalidated lookup counts
+	// as both a miss and an invalidation).
 	Hits, Misses uint64
 	// Evictions counts capacity evictions; Invalidations counts
-	// entries dropped because their epoch went stale.
+	// entries dropped because their dependency set went stale.
 	Evictions, Invalidations uint64
 	// Entries is the current resident count.
 	Entries int

@@ -3,8 +3,6 @@ package symexec
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -61,17 +59,15 @@ type PortRef struct {
 // topology snapshot plus any candidate processing modules. It is what
 // the controller runs reachability over.
 type Network struct {
-	models  map[string]Model
-	wires   map[string]map[int]PortRef
-	digests map[string]string
+	models map[string]Model
+	wires  map[string]map[int]PortRef
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		models:  make(map[string]Model),
-		wires:   make(map[string]map[int]PortRef),
-		digests: make(map[string]string),
+		models: make(map[string]Model),
+		wires:  make(map[string]map[int]PortRef),
 	}
 }
 
@@ -91,32 +87,6 @@ func (n *Network) AddNode(name string, m Model) error {
 func (n *Network) HasNode(name string) bool {
 	_, ok := n.models[name]
 	return ok
-}
-
-// SetDigest registers a content digest for a node's model, making it
-// eligible for per-element memoization. The digest must determine the
-// model's behaviour completely: two nodes carrying the same digest
-// share memo entries, so anything Sym can observe (element class,
-// configuration arguments, route tables, demux branch set) must be
-// folded in, while identity that Sym cannot observe (node name,
-// tenant, wiring) must be left out — that exclusion is what lets
-// structurally identical sub-chains of different tenants share work.
-// Nodes without a digest are simply never memoized.
-func (n *Network) SetDigest(name, digest string) error {
-	if _, ok := n.models[name]; !ok {
-		return fmt.Errorf("symexec: unknown node %q", name)
-	}
-	if digest == "" {
-		return fmt.Errorf("symexec: empty digest for node %q", name)
-	}
-	n.digests[name] = digest
-	return nil
-}
-
-// Digest returns the content digest registered for a node, if any.
-func (n *Network) Digest(name string) (string, bool) {
-	d, ok := n.digests[name]
-	return d, ok
 }
 
 // Connect wires from:fromPort to to:toPort. Each output port has at
@@ -199,16 +169,6 @@ type Injection struct {
 	// Deadline aborts exploration (with ErrBudget) once the wall
 	// clock passes it; the zero value means no deadline.
 	Deadline time.Time
-	// Workers fans the exploration of each breadth-first frontier
-	// wave across a bounded worker pool. Results are merged back in
-	// frontier order, so every Result field — AtNode/Egress ordering,
-	// Steps, truncation, budget errors — is byte-identical to a
-	// sequential run. Values <= 1 run sequentially.
-	Workers int
-	// Memo, when non-nil, short-circuits model executions at nodes
-	// with a registered content digest (see Network.SetDigest and
-	// Memo).
-	Memo *Memo
 }
 
 type workItem struct {
@@ -217,22 +177,10 @@ type workItem struct {
 	s    *State
 }
 
-// parallelThreshold is the minimum wave width worth fanning out; a
-// narrow chain graph stays on the caller's goroutine.
-const parallelThreshold = 4
-
 // Run performs symbolic reachability from the injection point,
-// breadth-first, splitting flows at every branching model.
-//
-// Exploration is wave-synchronized: the frontier of each BFS level is
-// executed (in parallel when inj.Workers > 1), then merged strictly
-// in frontier order. Because the sequential loop is itself FIFO, the
-// per-level frontier order equals the sequential dequeue order, so
-// merging in that order reproduces the sequential Result exactly —
-// including the step at which a budget abort or MaxStates truncation
-// fires. Model executions that a sequential run would never have
-// reached (items after an abort point) may run speculatively, but
-// their side effects live only in private states and are discarded.
+// breadth-first, splitting flows at every branching model. The FIFO
+// queue fixes the order of AtNode and Egress entries and the step at
+// which a budget abort or MaxStates truncation fires.
 func (n *Network) Run(inj Injection) (*Result, error) {
 	if _, ok := n.models[inj.Node]; !ok {
 		return nil, fmt.Errorf("symexec: injection node %q unknown", inj.Node)
@@ -253,177 +201,49 @@ func (n *Network) Run(inj Injection) (*Result, error) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	workers := inj.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	res := &Result{
 		AtNode:  make(map[string][]*State),
 		Dropped: make(map[string]int),
 	}
-	wave := []workItem{{node: inj.Node, port: inj.Port, s: st}}
-	var next []workItem
+	queue := []workItem{{node: inj.Node, port: inj.Port, s: st}}
 	produced := 1
-	var execIdx []int
-	var outs []execOut
-	for len(wave) > 0 {
-		// Select the wave items that will execute: those within the
-		// hop bound, trimmed to the step budget. A sequential run
-		// aborts on the (maxSteps - res.Steps + 1)-th further
-		// execution, so items past that point are never merged and
-		// need not run.
-		execIdx = execIdx[:0]
-		budgetRoom := maxSteps - res.Steps + 1
-		for i := range wave {
-			if wave[i].s.PathLen() >= maxHops {
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		if it.s.PathLen() >= maxHops {
+			res.Truncated = true
+			continue
+		}
+		it.s.PushHop(it.node, it.port)
+		res.AtNode[it.node] = append(res.AtNode[it.node], it.s.Clone())
+		res.Steps++
+		if res.Steps > maxSteps {
+			return res, fmt.Errorf("symexec: %d model executions (last at %s): %w", res.Steps, it.node, ErrBudget)
+		}
+		if !inj.Deadline.IsZero() && res.Steps%deadlineCheckEvery == 0 && time.Now().After(inj.Deadline) {
+			return res, fmt.Errorf("symexec: deadline passed after %d model executions (last at %s): %w", res.Steps, it.node, ErrBudget)
+		}
+		trs := n.models[it.node].Sym(it.port, it.s)
+		if len(trs) == 0 {
+			res.Dropped[it.node]++
+			continue
+		}
+		for _, tr := range trs {
+			if tr.S == nil {
 				continue
 			}
-			if len(execIdx) < budgetRoom {
-				execIdx = append(execIdx, i)
-			}
-		}
-		if cap(outs) < len(execIdx) {
-			outs = make([]execOut, len(execIdx))
-		}
-		outs = outs[:len(execIdx)]
-		run := func(k int) {
-			it := &wave[execIdx[k]]
-			it.s.PushHop(it.node, it.port)
-			arrived := it.s.Clone()
-			outs[k] = execOut{
-				arrived: arrived,
-				trs:     n.symExec(it.node, it.port, it.s, arrived, inj.Memo),
-			}
-		}
-		if workers > 1 && len(execIdx) >= parallelThreshold {
-			parallelFor(workers, len(execIdx), run)
-		} else {
-			for k := range execIdx {
-				run(k)
-			}
-		}
-		// Merge in frontier order, replaying the sequential loop's
-		// bookkeeping exactly.
-		next = next[:0]
-		k := 0
-		for i := range wave {
-			it := &wave[i]
-			if k >= len(execIdx) || execIdx[k] != i {
-				if it.s.PathLen() >= maxHops {
-					res.Truncated = true
-					continue
-				}
-				// Beyond the step-budget trim: the abort below fires
-				// before merge reaches an untrimmed item, so this is
-				// unreachable; guard anyway.
+			tgt, wired := n.Target(it.node, tr.Port)
+			if !wired {
+				res.Egress = append(res.Egress, Egress{Node: it.node, Port: tr.Port, S: tr.S})
 				continue
 			}
-			eo := &outs[k]
-			k++
-			res.AtNode[it.node] = append(res.AtNode[it.node], eo.arrived)
-			res.Steps++
-			if res.Steps > maxSteps {
-				return res, fmt.Errorf("symexec: %d model executions (last at %s): %w", res.Steps, it.node, ErrBudget)
+			produced++
+			if produced > maxStates {
+				res.Truncated = true
+				return res, nil
 			}
-			if !inj.Deadline.IsZero() && res.Steps%deadlineCheckEvery == 0 && time.Now().After(inj.Deadline) {
-				return res, fmt.Errorf("symexec: deadline passed after %d model executions (last at %s): %w", res.Steps, it.node, ErrBudget)
-			}
-			if len(eo.trs) == 0 {
-				res.Dropped[it.node]++
-				continue
-			}
-			for _, tr := range eo.trs {
-				if tr.S == nil {
-					continue
-				}
-				tgt, wired := n.Target(it.node, tr.Port)
-				if !wired {
-					res.Egress = append(res.Egress, Egress{Node: it.node, Port: tr.Port, S: tr.S})
-					continue
-				}
-				produced++
-				if produced > maxStates {
-					res.Truncated = true
-					return res, nil
-				}
-				next = append(next, workItem{node: tgt.Node, port: tgt.Port, s: tr.S})
-			}
+			queue = append(queue, workItem{node: tgt.Node, port: tgt.Port, s: tr.S})
 		}
-		wave, next = next, wave
 	}
 	return res, nil
-}
-
-type execOut struct {
-	arrived *State
-	trs     []Transition
-}
-
-// symExec runs one model execution, consulting the memo when the node
-// has a registered digest. arrived is a clone taken after PushHop and
-// before the model runs — exactly the snapshot recipe capture needs.
-func (n *Network) symExec(node string, port int, s *State, arrived *State, memo *Memo) []Transition {
-	m := n.models[node]
-	if memo == nil {
-		return m.Sym(port, s)
-	}
-	digest, ok := n.digests[node]
-	if !ok || memo.skipped(digest) {
-		return m.Sym(port, s)
-	}
-	keyStart := time.Now()
-	ctx := memoContext(digest, port, s)
-	keyCost := time.Since(keyStart)
-	if rec, hit := memo.get(ctx.key); hit {
-		return rec.replay(s, ctx)
-	}
-	execStart := time.Now()
-	trs := m.Sym(port, s)
-	execCost := time.Since(execStart)
-	// Cost gate: replay pays the key construction plus roughly the
-	// same cloning the model itself does, so memoizing only wins when
-	// the execution costs comfortably more than the key. Both sides
-	// are sampled on this very miss (same state, same machine), making
-	// the gate self-calibrating; one noisy sample can only mis-tune
-	// throughput for that digest, never change results.
-	if execCost < memoSkipFactor*keyCost && memo.costGated() {
-		memo.noteSkip(digest)
-		return trs
-	}
-	if rec, supported := captureRecipe(ctx, arrived, trs); supported {
-		memo.put(ctx.key, rec)
-	} else {
-		memo.noteUnsupported()
-	}
-	return trs
-}
-
-// memoSkipFactor is the cost gate's margin: a model execution must
-// cost at least this many times its memo-key construction before the
-// digest is memoized.
-const memoSkipFactor = 3
-
-// parallelFor runs fn(0..n-1) across up to workers goroutines pulling
-// indices from a shared atomic counter (work-stealing by grab, so a
-// slow item does not leave siblings idle behind a static partition).
-func parallelFor(workers, n int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	var nextIdx atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextIdx.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

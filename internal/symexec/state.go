@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // Field names a symbolic packet header field. The standard fields
@@ -94,35 +93,16 @@ type Binding struct {
 }
 
 // env is shared by all states split from one injected packet: it
-// allocates fresh variable ids. The mutex makes allocation safe when
-// Run fans a frontier wave across workers; the numeric order of ids
-// then depends on scheduling, which is fine because no report output
-// ever prints or compares raw VarID values — only identity against
-// other ids captured from the same state matters.
+// allocates fresh variable ids. A run explores on one goroutine, so
+// allocation needs no lock.
 type env struct {
-	mu      sync.Mutex
 	nextVar VarID
-	names   map[VarID]string
 }
 
-func (e *env) fresh(name string) VarID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+func (e *env) fresh() VarID {
 	id := e.nextVar
 	e.nextVar++
-	if name != "" {
-		if e.names == nil {
-			e.names = make(map[VarID]string)
-		}
-		e.names[id] = name
-	}
 	return id
-}
-
-func (e *env) nameOf(id VarID) string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.names[id]
 }
 
 // Hop records one node traversal in a state's path.
@@ -249,7 +229,7 @@ func NewState() *State {
 		vars:   make([]varBinding, 0, len(standardFields)+2),
 	}
 	for _, f := range standardFields {
-		id := s.env.fresh(string(f))
+		id := s.env.fresh()
 		s.setVar(id, Full(f.Width()))
 		s.setField(f, Binding{E: Var(id), DefHop: -1})
 	}
@@ -300,7 +280,7 @@ func (s *State) Assign(f Field, e Expr) {
 // AssignFresh binds field f to a brand-new free variable (used by
 // models whose output value is unknown, e.g. tunnel decapsulation).
 func (s *State) AssignFresh(f Field) Expr {
-	id := s.env.fresh(string(f) + "'")
+	id := s.env.fresh()
 	s.setVar(id, Full(f.Width()))
 	e := Var(id)
 	s.Assign(f, e)

@@ -1,73 +1,13 @@
 package topology
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/in-net/innet/internal/click"
-	"github.com/in-net/innet/internal/clicklang"
 	"github.com/in-net/innet/internal/packet"
 	"github.com/in-net/innet/internal/symexec"
 )
-
-// Model content digests (symexec.Network.SetDigest). Each digest must
-// determine the node model's Sym behaviour completely and exclude
-// everything Sym cannot observe (node names, tenants, wiring), so
-// that structurally identical elements — across modules, tenants, and
-// even separate compilations — share per-element memo entries.
-
-// digestOf hashes behaviour-relevant parts, length-prefixed.
-func digestOf(kind string, parts ...string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n", kind)
-	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
-	}
-	return kind + ":" + hex.EncodeToString(h.Sum(nil))
-}
-
-// Endpoints and platform tx nodes are parameterless: one shared
-// digest each.
-const (
-	endpointDigest = "endpoint/1"
-	forwardDigest  = "forward/1"
-)
-
-func lpmDigest(routes []Route) string {
-	parts := make([]string, 0, len(routes))
-	for _, r := range routes {
-		parts = append(parts, fmt.Sprintf("%s>%d", r.Prefix, r.Port))
-	}
-	return digestOf("lpm/1", parts...)
-}
-
-func demuxDigest(pool packet.Prefix, hosted []*HostedModule, passPort, base int) string {
-	parts := []string{fmt.Sprintf("%s|%d|%d", pool, passPort, base)}
-	for _, m := range hosted {
-		parts = append(parts, fmt.Sprintf("%d", m.Addr))
-	}
-	return digestOf("demux/1", parts...)
-}
-
-// elementDigests caches element digests across compilations: the
-// digest is a pure function of (class, raw args), Compile runs on
-// every admission, and structurally shared elements (every tenant's
-// firewall → nat prefix) repeat endlessly.
-var elementDigests sync.Map // "class\x00rawArgs" -> digest string
-
-func elementDigest(d *clicklang.Decl) string {
-	ck := d.Class + "\x00" + d.RawArgs
-	if v, ok := elementDigests.Load(ck); ok {
-		return v.(string)
-	}
-	dg := digestOf("elem/1", clicklang.FragmentCanonical(d.Class, d.RawArgs))
-	elementDigests.Store(ck, dg)
-	return dg
-}
 
 // HostedModule is a processing module placed (or tentatively placed,
 // during checking) on a platform.
@@ -137,13 +77,11 @@ func (t *Topology) Compile(modules []HostedModule) (*symexec.Network, *NetMap, e
 			if err := net.AddNode(name, endpointModel); err != nil {
 				return nil, nil, err
 			}
-			_ = net.SetDigest(name, endpointDigest)
 			nm.entry[name] = name
 		case KindRouter:
 			if err := net.AddNode(name, lpmModel(n.Routes)); err != nil {
 				return nil, nil, err
 			}
-			_ = net.SetDigest(name, n.digest)
 			nm.entry[name] = name
 		case KindMiddlebox:
 			entry, err := addClickNodes(net, name, n.router)
@@ -157,12 +95,10 @@ func (t *Topology) Compile(modules []HostedModule) (*symexec.Network, *NetMap, e
 			if err := net.AddNode(name, demuxModel(n.Pool, hosted, t.passPort(name), base)); err != nil {
 				return nil, nil, err
 			}
-			_ = net.SetDigest(name, demuxDigest(n.Pool, hosted, t.passPort(name), base))
 			nm.entry[name] = name
 			if err := net.AddNode(platformTxNode(name), symexec.Forward); err != nil {
 				return nil, nil, err
 			}
-			_ = net.SetDigest(platformTxNode(name), forwardDigest)
 			// Hosted module element graphs.
 			for i, m := range hosted {
 				entry, err := addClickNodes(net, m.ID, m.Router)
@@ -340,9 +276,6 @@ func addClickNodes(net *symexec.Network, prefix string, r *click.Router) (entry 
 		}
 		if err := net.AddNode(prefix+"/"+el.Name(), m); err != nil {
 			return "", err
-		}
-		if d := r.Config().Decl(el.Name()); d != nil {
-			_ = net.SetDigest(prefix+"/"+el.Name(), elementDigest(d))
 		}
 		if entry == "" {
 			if inj, ok := el.(click.Injector); ok && inj.InjectionPoint() {

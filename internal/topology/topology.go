@@ -74,10 +74,6 @@ type Node struct {
 	UplinkPort int
 
 	router *click.Router // built middlebox instance
-	// digest is the precomputed model content digest (routers only;
-	// routes are immutable after AddRouter, and Compile runs on every
-	// admission).
-	digest string
 }
 
 // Link is a unidirectional edge between topology nodes.
@@ -137,7 +133,7 @@ func (t *Topology) AddRouter(name string, routes ...Route) error {
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return sorted[i].Prefix.Bits > sorted[j].Prefix.Bits
 	})
-	return t.add(&Node{Name: name, Kind: KindRouter, Routes: sorted, digest: lpmDigest(sorted)})
+	return t.add(&Node{Name: name, Kind: KindRouter, Routes: sorted})
 }
 
 // AddMiddlebox adds an operator middlebox defined by Click source.
