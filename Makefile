@@ -108,8 +108,9 @@ examples:
 	$(GO) run ./examples/cdn
 
 # Short fuzzing passes over every parser, the controller's transition
-# function against the journal fold, and the event heap's dispatch
-# order against a stable sort.
+# function against the journal fold, the synced network snapshot
+# against a fresh compile, and the event heap's dispatch order against
+# a stable sort.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/clicklang/
 	$(GO) test -fuzz=FuzzSplitArgs -fuzztime=15s ./internal/clicklang/
@@ -119,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/journal/
 	$(GO) test -fuzz=FuzzControllerFold -fuzztime=30s ./internal/controller/
+	$(GO) test -fuzz=FuzzSnapshotSync -fuzztime=30s ./internal/topology/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=30s ./internal/netsim/
 
 # The seeded chaos suite: fault-injected cluster runs with the full

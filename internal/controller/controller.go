@@ -341,6 +341,12 @@ type Controller struct {
 	cache        *symexec.Cache
 	digests      map[string]string
 	digestsDirty bool
+	// snap is the network snapshot placement checks run against,
+	// synced to the hosted modules plus the tentative one on each
+	// placement-cache miss; syncHook, when set by tests, sees every
+	// Sync's input and outcome.
+	snap     *topology.Snapshot
+	syncHook func(modules []topology.HostedModule, net *symexec.Network, nm *topology.NetMap, err error)
 	// tracer/tel are the attached telemetry sinks (nil = dark); span
 	// is the open admission span — admissions are serialized under mu,
 	// so at most one span is live at a time (see telemetry.go).
@@ -378,6 +384,7 @@ func NewWithOptions(topo *topology.Topology, operatorPolicy string, opts Options
 		platformDown: make(map[string]bool),
 		cache:        symexec.NewCache(cacheSize), // nil (disabled) when cacheSize < 0
 		digestsDirty: true,
+		snap:         topo.NewSnapshot(),
 	}
 	if strings.TrimSpace(operatorPolicy) != "" {
 		reqs, err := policy.ParseAll(operatorPolicy)
@@ -629,7 +636,7 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 	}
 
 	// Build the tentative module. The placement stage is this build plus,
-	// when it runs, the network snapshot compile.
+	// when it runs, the network snapshot sync.
 	buildStart := time.Now()
 	tentative, err := buildConfig(deploySrc)
 	if err != nil {
@@ -642,11 +649,11 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 
 	// Client requirements and operator policy must all hold. A cached
 	// verdict never reads the network snapshot, so the cache is probed
-	// first and the snapshot compiled only on a miss. The placement key
-	// covers every input of the compile but the module's name; a name
-	// that can collide in the compiled network (idClashLocked) compiles
-	// before the probe, so a snapshot that does not compile still
-	// refuses the platform. Either way an attempt probes at most once.
+	// first and the snapshot synced only on a miss. The placement key
+	// covers every input of the sync but the module's name; a name that
+	// can collide in the compiled network (idClashLocked) syncs before
+	// the probe, so a snapshot that does not compile still refuses the
+	// platform. Either way an attempt probes at most once.
 	var pkey string
 	if c.cache != nil {
 		pkey = placementKey(platformName, addr, deploySrc, req.Requirements, steps)
@@ -660,7 +667,11 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 	var env *policy.CheckEnv
 	if !hit {
 		cstart := time.Now()
-		net, nm, err := c.topo.Compile(c.hostedLocked(&hosted))
+		modules := c.hostedLocked(&hosted)
+		net, nm, err := c.snap.Sync(modules)
+		if c.syncHook != nil {
+			c.syncHook(modules, net, nm, err)
+		}
 		if err != nil {
 			return nil, fmt.Sprintf("platform %s: %v", platformName, err), nil
 		}
@@ -723,9 +734,9 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 // on-network deployment's module. Module element nodes are named
 // "<id>/<element>" and element names may contain '/', so two names can
 // collide when they are equal or one is a '/'-prefix of the other.
-// Without such a collision topology.Compile cannot refuse a snapshot
-// whose placement key is cached: the key covers everything else it
-// reads.
+// Without such a collision the snapshot Sync cannot refuse a module
+// list whose placement key is cached: the key covers everything else
+// it reads.
 func (c *Controller) idClashLocked(id string) bool {
 	for _, n := range c.topo.Nodes() {
 		if namesOverlap(id, n) {

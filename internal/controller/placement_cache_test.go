@@ -145,41 +145,70 @@ func TestPlacementHitKeepsIDClashRejection(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmRedeploy is one deploy-warm cycle in process: with 96
-// modules resident, re-deploy a previously admitted request and kill it
-// again.
-func BenchmarkWarmRedeploy(b *testing.B) {
-	topo, err := topology.PaperFig3()
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := New(topo, operatorHTTPPolicy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	filter := func(i int) Request {
-		return Request{
-			Tenant: fmt.Sprintf("t%d", i), ModuleName: fmt.Sprintf("m%d", i), Trust: security.ThirdParty,
-			Whitelist: []string{"198.18.0.1"},
-			Config: fmt.Sprintf(`
+// filterRequest is resident (or candidate) module i of the deploy
+// benchmarks: a third-party port filter whose config differs per i.
+func filterRequest(i int) Request {
+	return Request{
+		Tenant: fmt.Sprintf("t%d", i), ModuleName: fmt.Sprintf("m%d", i), Trust: security.ThirdParty,
+		Whitelist: []string{"198.18.0.1"},
+		Config: fmt.Sprintf(`
 in :: FromNetfront();
 fw :: IPFilter(allow tcp dst port %d, deny all);
 fwd :: SetIPDst(198.18.0.1);
 out :: ToNetfront();
 in -> fw -> fwd -> out;
 `, 1024+i),
+	}
+}
+
+// residentController is a Fig. 3 controller under the HTTP operator
+// policy with modules 0..n-1 of filterRequest admitted.
+func residentController(tb testing.TB, n int) *Controller {
+	tb.Helper()
+	topo, err := topology.PaperFig3()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := New(topo, operatorHTTPPolicy)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.Deploy(filterRequest(i)); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	for i := 0; i < 96; i++ {
-		if _, err := c.Deploy(filter(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	pool := filter(96)
+	return c
+}
+
+// BenchmarkWarmRedeploy is one deploy-warm cycle in process: with 96
+// modules resident, re-deploy a previously admitted request and kill it
+// again.
+func BenchmarkWarmRedeploy(b *testing.B) {
+	c := residentController(b, 96)
+	pool := filterRequest(96)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dep, err := c.Deploy(pool)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Kill(dep.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkColdAdmit is one deploy-cold cycle in process: with 96
+// modules resident, deploy a never-seen config, so every cache misses,
+// and kill it again.
+func BenchmarkColdAdmit(b *testing.B) {
+	c := residentController(b, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dep, err := c.Deploy(filterRequest(96 + i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -297,7 +297,7 @@ func (env *CheckEnv) noteVisited(run *symexec.Result) {
 	if env.Visited == nil || run == nil {
 		return
 	}
-	for node := range run.AtNode {
+	for node := range run.Visited {
 		env.Visited[node] = true
 	}
 }
@@ -382,7 +382,7 @@ func (r *Requirement) Check(env *CheckEnv) (*CheckResult, error) {
 			}
 			run, rerr := env.Net.Run(symexec.Injection{
 				Node: injNode, State: st, MaxHops: env.MaxHops,
-				MaxSteps: budget, Deadline: env.Deadline,
+				MaxSteps: budget, Deadline: env.Deadline, Watch: node,
 			})
 			if run != nil {
 				res.Steps += run.Steps

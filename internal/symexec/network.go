@@ -83,6 +83,36 @@ func (n *Network) AddNode(name string, m Model) error {
 	return nil
 }
 
+// SetModel replaces the model of an existing node, keeping its wires.
+func (n *Network) SetModel(name string, m Model) error {
+	if _, ok := n.models[name]; !ok {
+		return fmt.Errorf("symexec: unknown node %q", name)
+	}
+	if m == nil {
+		return fmt.Errorf("symexec: node %q has nil model", name)
+	}
+	n.models[name] = m
+	return nil
+}
+
+// RemoveNode deletes a node and the wires leaving it. Wires from other
+// nodes into it are the caller's to Disconnect: Run panics on a flow
+// that follows a wire to a missing node.
+func (n *Network) RemoveNode(name string) {
+	delete(n.models, name)
+	delete(n.wires, name)
+}
+
+// Disconnect removes the wire leaving from:fromPort, if any.
+func (n *Network) Disconnect(from string, fromPort int) {
+	if w := n.wires[from]; w != nil {
+		delete(w, fromPort)
+		if len(w) == 0 {
+			delete(n.wires, from)
+		}
+	}
+}
+
 // HasNode reports whether a node exists.
 func (n *Network) HasNode(name string) bool {
 	_, ok := n.models[name]
@@ -135,8 +165,12 @@ type Egress struct {
 type Result struct {
 	// AtNode records, per node name, the states as they *arrived* at
 	// the node (before its model ran). This is "the flow reachable at
-	// every node" of §4.3.
+	// every node" of §4.3. With Injection.Watch set it holds only the
+	// watched node's arrivals.
 	AtNode map[string][]*State
+	// Visited marks every node a flow arrived at and executed: the key
+	// set of an unwatched run's AtNode, whatever Watch says.
+	Visited map[string]bool
 	// Egress lists states that exited the network.
 	Egress []Egress
 	// Dropped counts flows terminated by models, per node.
@@ -169,6 +203,10 @@ type Injection struct {
 	// Deadline aborts exploration (with ErrBudget) once the wall
 	// clock passes it; the zero value means no deadline.
 	Deadline time.Time
+	// Watch, when non-empty, restricts AtNode to the arrivals at that
+	// node: a caller that reads one node's arrivals saves a state clone
+	// per step elsewhere. Empty records arrivals at every node.
+	Watch string
 }
 
 type workItem struct {
@@ -203,6 +241,7 @@ func (n *Network) Run(inj Injection) (*Result, error) {
 	}
 	res := &Result{
 		AtNode:  make(map[string][]*State),
+		Visited: make(map[string]bool),
 		Dropped: make(map[string]int),
 	}
 	queue := []workItem{{node: inj.Node, port: inj.Port, s: st}}
@@ -215,7 +254,10 @@ func (n *Network) Run(inj Injection) (*Result, error) {
 			continue
 		}
 		it.s.PushHop(it.node, it.port)
-		res.AtNode[it.node] = append(res.AtNode[it.node], it.s.Clone())
+		res.Visited[it.node] = true
+		if inj.Watch == "" || inj.Watch == it.node {
+			res.AtNode[it.node] = append(res.AtNode[it.node], it.s.Clone())
+		}
 		res.Steps++
 		if res.Steps > maxSteps {
 			return res, fmt.Errorf("symexec: %d model executions (last at %s): %w", res.Steps, it.node, ErrBudget)

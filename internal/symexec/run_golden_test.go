@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -72,69 +71,15 @@ func renderRun(t *testing.T) string {
 	return b.String()
 }
 
-// canonState renders a state up to variable renaming: fields in sorted
-// order with canonical variable indices (first appearance), value sets
-// and definition hops, plus the traversal path. Bindings
-// indistinguishable from the lazy Get default (Const(0), DefHop -1) are
-// skipped.
-func canonState(s *State) string {
-	var b strings.Builder
-	canon := make(map[VarID]int)
-	for _, f := range s.Fields() {
-		bind := s.Binding(f)
-		if c, isConst := bind.E.IsConst(); isConst && c == 0 && bind.DefHop == -1 {
-			continue
-		}
-		fmt.Fprintf(&b, "%s=", f)
-		if c, isConst := bind.E.IsConst(); isConst {
-			fmt.Fprintf(&b, "c%d", c)
-		} else {
-			id, _ := bind.E.IsVar()
-			ci, seen := canon[id]
-			if !seen {
-				ci = len(canon)
-				canon[id] = ci
-			}
-			fmt.Fprintf(&b, "x%d%s", ci, s.Values(f))
-		}
-		fmt.Fprintf(&b, "@%d;", bind.DefHop)
-	}
-	fmt.Fprintf(&b, " path=%v tag=%q", s.Path(), s.Tag)
-	return b.String()
-}
-
-// canonResult renders everything a caller can observe from a Result.
+// canonResult renders a run's error, if any, then its Result.
 func canonResult(res *Result, err error) string {
 	var b strings.Builder
 	if err != nil {
 		fmt.Fprintf(&b, "err=%q budget=%v\n", err, errors.Is(err, ErrBudget))
 	}
-	if res == nil {
-		return b.String()
+	if res != nil {
+		b.WriteString(res.Canonical())
 	}
-	nodes := make([]string, 0, len(res.AtNode))
-	for n := range res.AtNode {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		fmt.Fprintf(&b, "at %s:\n", n)
-		for _, s := range res.AtNode[n] {
-			fmt.Fprintf(&b, "  %s\n", canonState(s))
-		}
-	}
-	for _, e := range res.Egress {
-		fmt.Fprintf(&b, "egress %s:%d %s\n", e.Node, e.Port, canonState(e.S))
-	}
-	drops := make([]string, 0, len(res.Dropped))
-	for n := range res.Dropped {
-		drops = append(drops, n)
-	}
-	sort.Strings(drops)
-	for _, n := range drops {
-		fmt.Fprintf(&b, "dropped %s=%d\n", n, res.Dropped[n])
-	}
-	fmt.Fprintf(&b, "truncated=%v steps=%d\n", res.Truncated, res.Steps)
 	return b.String()
 }
 

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/in-net/innet/internal/click"
 	"github.com/in-net/innet/internal/packet"
@@ -50,112 +51,10 @@ func platformTxNode(platform string) string { return platform + "/tx" }
 
 // Compile builds the symbolic network snapshot for this topology plus
 // the given hosted modules. This is the "compilation" step whose cost
-// Fig. 10 measures separately from checking.
+// Fig. 10 measures separately from checking. It is a fresh Snapshot's
+// first Sync.
 func (t *Topology) Compile(modules []HostedModule) (*symexec.Network, *NetMap, error) {
-	net := symexec.NewNetwork()
-	nm := &NetMap{entry: make(map[string]string), mods: make(map[string]*HostedModule)}
-
-	byPlatform := make(map[string][]*HostedModule)
-	for i := range modules {
-		m := &modules[i]
-		node := t.nodes[m.Platform]
-		if node == nil || node.Kind != KindPlatform {
-			return nil, nil, fmt.Errorf("topology: module %q: no platform %q", m.ID, m.Platform)
-		}
-		if _, dup := nm.mods[m.ID]; dup {
-			return nil, nil, fmt.Errorf("topology: duplicate module id %q", m.ID)
-		}
-		nm.mods[m.ID] = m
-		byPlatform[m.Platform] = append(byPlatform[m.Platform], m)
-	}
-
-	// Pass 1: create nodes.
-	for _, name := range t.order {
-		n := t.nodes[name]
-		switch n.Kind {
-		case KindEndpoint:
-			if err := net.AddNode(name, endpointModel); err != nil {
-				return nil, nil, err
-			}
-			nm.entry[name] = name
-		case KindRouter:
-			if err := net.AddNode(name, lpmModel(n.Routes)); err != nil {
-				return nil, nil, err
-			}
-			nm.entry[name] = name
-		case KindMiddlebox:
-			entry, err := addClickNodes(net, name, n.router)
-			if err != nil {
-				return nil, nil, err
-			}
-			nm.entry[name] = entry
-		case KindPlatform:
-			hosted := byPlatform[name]
-			base := t.maxFromPort(name) + 1
-			if err := net.AddNode(name, demuxModel(n.Pool, hosted, t.passPort(name), base)); err != nil {
-				return nil, nil, err
-			}
-			nm.entry[name] = name
-			if err := net.AddNode(platformTxNode(name), symexec.Forward); err != nil {
-				return nil, nil, err
-			}
-			// Hosted module element graphs.
-			for i, m := range hosted {
-				entry, err := addClickNodes(net, m.ID, m.Router)
-				if err != nil {
-					return nil, nil, err
-				}
-				// Source-only modules receive no traffic: no demux
-				// branch to wire.
-				if entry != "" {
-					if err := net.Connect(name, base+i, entry, 0); err != nil {
-						return nil, nil, err
-					}
-				}
-				// Every module exit feeds the platform's tx side.
-				for _, exit := range exitNodes(m.ID, m.Router) {
-					if err := net.Connect(exit, 0, platformTxNode(name), 0); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-		}
-	}
-
-	// Pass 2: topology links.
-	for _, l := range t.links {
-		fromNode, fromPort, err := t.resolveOut(l.From, l.FromPort)
-		if err != nil {
-			return nil, nil, err
-		}
-		toNode, toPort, err := t.resolveIn(l.To, l.ToPort, nm)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := net.Connect(fromNode, fromPort, toNode, toPort); err != nil {
-			return nil, nil, fmt.Errorf("topology: link %s[%d]->[%d]%s: %v",
-				l.From, l.FromPort, l.ToPort, l.To, err)
-		}
-	}
-
-	// Pass 3: platform tx uplinks.
-	for _, name := range t.order {
-		n := t.nodes[name]
-		if n.Kind != KindPlatform {
-			continue
-		}
-		if n.Uplink == "" {
-			continue
-		}
-		toNode, toPort, err := t.resolveIn(n.Uplink, n.UplinkPort, nm)
-		if err != nil {
-			return nil, nil, fmt.Errorf("topology: platform %q uplink: %v", name, err)
-		}
-		if err := net.Connect(platformTxNode(name), 0, toNode, toPort); err != nil {
-			return nil, nil, fmt.Errorf("topology: platform %q uplink: %v", name, err)
-		}
-	}
-	return net, nm, nil
+	return t.NewSnapshot().Sync(modules)
 }
 
 // maxFromPort returns the largest declared outgoing port of a node.
@@ -338,38 +237,48 @@ func lpmModel(routes []Route) symexec.Model {
 	})
 }
 
-// demuxModel builds the platform's address demultiplexer: traffic to
-// a hosted module's address goes to that module's branch port (base,
-// base+1, ...); traffic to an *unassigned* pool address is dropped
-// (no switch rule exists for it — and symbolically it would otherwise
-// loop between the platform and its router); everything else follows
-// the pass-through port. Module addresses shadow the pass-through,
-// exactly like the OpenFlow rules the controller installs (§4.3).
-func demuxModel(pool packet.Prefix, hosted []*HostedModule, passPort, base int) symexec.Model {
-	addrs := make([]uint64, len(hosted))
-	for i, m := range hosted {
-		addrs[i] = uint64(m.Addr)
+// demux is the platform's address demultiplexer: traffic to a hosted
+// module's address goes to that module's branch port (base, base+1,
+// ...); traffic to an *unassigned* pool address is dropped (no switch
+// rule exists for it — and symbolically it would otherwise loop between
+// the platform and its router); everything else follows the
+// pass-through port. Module addresses shadow the pass-through, exactly
+// like the OpenFlow rules the controller installs (§4.3).
+type demux struct {
+	addrs    []uint64 // branch i matches addrs[i]
+	notPool  symexec.IntervalSet
+	passPort int
+	base     int
+}
+
+// Sym implements symexec.Model.
+func (d *demux) Sym(port int, s *symexec.State) []symexec.Transition {
+	var out []symexec.Transition
+	rest := s
+	for i, a := range d.addrs {
+		m := rest.Clone()
+		if m.Constrain(symexec.FieldDstIP, symexec.Single(a)) {
+			out = append(out, symexec.Transition{Port: d.base + i, S: m})
+		}
+		if !rest.Constrain(symexec.FieldDstIP, symexec.Single(a).Complement(32)) {
+			return out
+		}
 	}
-	plo, phi := pool.Range()
-	notPool := symexec.Span(uint64(plo), uint64(phi)).Complement(32)
-	return symexec.FuncModel(func(port int, s *symexec.State) []symexec.Transition {
-		var out []symexec.Transition
-		rest := s
-		for i, a := range addrs {
-			m := rest.Clone()
-			if m.Constrain(symexec.FieldDstIP, symexec.Single(a)) {
-				out = append(out, symexec.Transition{Port: base + i, S: m})
-			}
-			if !rest.Constrain(symexec.FieldDstIP, symexec.Single(a).Complement(32)) {
-				return out
-			}
-		}
-		// Unassigned pool addresses die here.
-		if passPort >= 0 && rest.Constrain(symexec.FieldDstIP, notPool) {
-			out = append(out, symexec.Transition{Port: passPort, S: rest})
-		}
-		return out
-	})
+	// Unassigned pool addresses die here.
+	if d.passPort >= 0 && rest.Constrain(symexec.FieldDstIP, d.notPool) {
+		out = append(out, symexec.Transition{Port: d.passPort, S: rest})
+	}
+	return out
+}
+
+// Label implements symexec.Labeled: the hosted addresses in branch
+// order.
+func (d *demux) Label() string {
+	parts := make([]string, len(d.addrs))
+	for i, a := range d.addrs {
+		parts[i] = packet.IPString(uint32(a))
+	}
+	return "demux[" + strings.Join(parts, " ") + "]"
 }
 
 // RouteTo is a convenience Route constructor from CIDR text.
