@@ -3,11 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-fast bench-telemetry bench-replication bench-all bench-gate bench-e2e bench-aa bench-pairs smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
-
-# Commit id stamped into BENCH_HISTORY.jsonl entries; CI overrides it.
-COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
-BENCH_ENV ?= local
+.PHONY: all build test race cover bench bench-replication bench-gate bench-e2e bench-aa bench-pairs smoke-telemetry lint-metrics experiments examples fuzz fmt vet clean golden chaos chaos-replication chaos-quorum
 
 all: build test
 
@@ -27,26 +23,14 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# The fast-path measurements (admission cache, sharded dispatch,
-# batched dataplane); writes the JSON report described in
-# docs/FORMATS.md §8.
-bench-fast:
-	$(GO) run ./cmd/innet-bench -quick -only fastpath -json BENCH_pr3.json
-
-# The telemetry overhead pair (dispatch and admission throughput,
-# registry dark vs attached + continuously scraped); writes the JSON
-# report described in docs/FORMATS.md §8.
-bench-telemetry:
-	$(GO) run ./cmd/innet-bench -quick -only telemetry -telemetry-json BENCH_telemetry.json
-
 # Failover time (leader kill -> first successful admission on the
-# promoted standby); writes BENCH_replication.json (innet-bench/1).
+# promoted standby), pair and 3-node elected, as a printed table.
 bench-replication:
-	$(GO) run ./cmd/innet-bench -quick -only replication -replication-json BENCH_replication.json
+	$(GO) run ./cmd/innet-bench -quick -only replication
 
 # The end-to-end benchmark (benchmark/README.md): packet path and
 # deploy path, every workload untraced then traced, with the per-layer
-# budget. This, not the single-layer suites below, judges a change.
+# budget. This judges a change; bench-gate runs it against a base ref.
 bench-e2e:
 	$(GO) run ./benchmark
 
@@ -66,21 +50,14 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=DIR [WORKLOAD=$(WORKLOAD)] [N=$(N)] [RUN_SECONDS=$(RUN_SECONDS)]"; exit 2; }
 	bash scripts/bench_pairs.sh $(PARENT) . $(WORKLOAD) $(N) $(RUN_SECONDS)
 
-# Every bench suite in one run, all JSON reports under the
-# innet-bench/1 schema, plus one appended per-commit entry in
-# BENCH_HISTORY.jsonl (docs/FORMATS.md §14).
-bench-all:
-	$(GO) run ./cmd/innet-bench -quick \
-		-only fastpath,telemetry,replication \
-		-json BENCH_pr3.json \
-		-telemetry-json BENCH_telemetry.json \
-		-replication-json BENCH_replication.json \
-		-history BENCH_HISTORY.jsonl -commit $(COMMIT) -env $(BENCH_ENV)
-
-# Fail when the newest BENCH_HISTORY.jsonl entry regressed >15% vs
-# the previous same-env entry (dispatch pps, cold admission ops/s).
+# The CI performance gate: interleaved base/change pairs of every
+# end-to-end workload in BENCHMARK.json (scripts/bench_gate.sh); fails
+# when any end-to-end metric is worse than its bound:
+#   make bench-gate BASE=origin/main
+BASE ?=
 bench-gate:
-	./scripts/bench_gate.sh BENCH_HISTORY.jsonl
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<git ref>"; exit 2; }
+	bash scripts/bench_gate.sh $(BASE)
 
 # Boot a real innetd, deploy a module, drive packets, and assert the
 # observability endpoints serve every required metric family and a
@@ -142,7 +119,7 @@ chaos-replication:
 # against unfaulted runs.
 chaos-quorum:
 	$(GO) test -race -timeout 300s ./internal/faults/ -run 'TestGroup' -count=1 -v
-	$(GO) test -race -timeout 300s ./internal/replication/ -run 'TestQuorum|TestVote|TestV1|TestLeaderDowngrades|TestFencedNodeRefuses' -count=1 -v
+	$(GO) test -race -timeout 300s ./internal/replication/ -run 'TestQuorum|TestVote|TestFencedNodeRefuses' -count=1 -v
 
 # Refresh the golden experiment tables after an intentional
 # calibration change.

@@ -19,24 +19,11 @@ import (
 
 func main() {
 	var (
-		quick   = flag.Bool("quick", false, "shrink the heavyweight sweeps")
-		only    = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, fastpath, telemetry, replication")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		batch   = flag.Int("batch", 0, "dataplane batch size for fastpath (0 = default)")
-		jsonOut = flag.String("json", "", "also write the fastpath results to this file (BENCH_pr3.json)")
-		telOut  = flag.String("telemetry-json", "", "also write the telemetry overhead results to this file")
-		replOut = flag.String("replication-json", "", "also write the failover results to this file (BENCH_replication.json)")
-		histOut = flag.String("history", "", "append a per-commit entry with this run's headline metrics to this file (BENCH_HISTORY.jsonl)")
-		commit  = flag.String("commit", "unknown", "commit id recorded in the -history entry")
-		env     = flag.String("env", "local", "environment label recorded in the -history entry (gate compares same-env entries only)")
-		gate    = flag.Bool("gate", false, "after any -history append, fail (exit 3) if a gated metric regressed vs the previous same-env entry")
-		gateTol = flag.Float64("gate-threshold", 0.15, "relative drop that trips -gate")
+		quick = flag.Bool("quick", false, "shrink the heavyweight sweeps")
+		only  = flag.String("only", "", "run selected experiments (comma-separated): fig5..fig16, table1, mawi, controller, https, replication")
+		list  = flag.Bool("list", false, "list experiment ids and exit")
 	)
 	flag.Parse()
-
-	var fastpath *bench.FastPathResult
-	var tel *bench.TelemetryResult
-	var repl *bench.ReplicationResult
 
 	runners := map[string]func() *bench.Table{
 		"fig5":        func() *bench.Table { return bench.Fig5(*quick) },
@@ -59,103 +46,17 @@ func main() {
 		"ablation-a":  bench.AblationConsolidation,
 		"ablation-b":  bench.AblationSuspendResume,
 		"ablation-c":  func() *bench.Table { return bench.AblationSandbox(*quick) },
-		"fastpath": func() *bench.Table {
-			fastpath = bench.FastPathMeasure(*quick, *batch)
-			return bench.FastPathTable(fastpath)
-		},
-		"telemetry": func() *bench.Table {
-			tel = bench.TelemetryMeasure(*quick)
-			return bench.TelemetryTable(tel)
-		},
-		"replication": func() *bench.Table {
-			repl = bench.ReplicationMeasure(*quick)
-			return bench.ReplicationTable(repl)
-		},
+		"replication": func() *bench.Table { return bench.ReplicationTable(bench.ReplicationMeasure(*quick)) },
 	}
 	order := []string{
 		"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table1",
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 		"mawi", "mawi-replay", "controller", "https",
-		"ablation-a", "ablation-b", "ablation-c", "fastpath", "telemetry",
-		"replication",
-	}
-
-	writeFile := func(path string, data []byte, err error) {
-		if err == nil {
-			err = os.WriteFile(path, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "innet-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-	writeJSON := func() {
-		if *jsonOut != "" {
-			if fastpath == nil {
-				fastpath = bench.FastPathMeasure(*quick, *batch)
-			}
-			data, err := fastpath.JSON()
-			writeFile(*jsonOut, data, err)
-		}
-		if *telOut != "" {
-			if tel == nil {
-				tel = bench.TelemetryMeasure(*quick)
-			}
-			data, err := tel.JSON()
-			writeFile(*telOut, data, err)
-		}
-		if *replOut != "" {
-			if repl == nil {
-				repl = bench.ReplicationMeasure(*quick)
-			}
-			data, err := repl.JSON()
-			writeFile(*replOut, data, err)
-		}
-		if *histOut != "" {
-			e := bench.NewHistoryEntry(*commit, *env)
-			if fastpath != nil {
-				e.RecordFastPath(fastpath)
-			}
-			if len(e.Metrics) == 0 {
-				fmt.Fprintln(os.Stderr, "innet-bench: -history set but no gated suite ran (need fastpath)")
-				os.Exit(2)
-			}
-			if err := bench.AppendHistory(*histOut, e); err != nil {
-				fmt.Fprintf(os.Stderr, "innet-bench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "appended %s (commit=%s env=%s, %d metrics)\n", *histOut, *commit, *env, len(e.Metrics))
-		}
-		if *gate {
-			if *histOut == "" {
-				fmt.Fprintln(os.Stderr, "innet-bench: -gate requires -history FILE")
-				os.Exit(2)
-			}
-			if err := bench.GateFile(*histOut, *gateTol); err != nil {
-				fmt.Fprintf(os.Stderr, "innet-bench: %v\n", err)
-				os.Exit(3)
-			}
-			fmt.Fprintln(os.Stderr, "bench gate: ok")
-		}
+		"ablation-a", "ablation-b", "ablation-c", "replication",
 	}
 
 	if *list {
 		fmt.Println(strings.Join(order, "\n"))
-		return
-	}
-	// Standalone gate: no experiments requested, just check the
-	// history file (scripts/bench_gate.sh path).
-	if *gate && *only == "" && *jsonOut == "" && *telOut == "" && *replOut == "" {
-		if *histOut == "" {
-			fmt.Fprintln(os.Stderr, "innet-bench: -gate requires -history FILE")
-			os.Exit(2)
-		}
-		if err := bench.GateFile(*histOut, *gateTol); err != nil {
-			fmt.Fprintf(os.Stderr, "innet-bench: %v\n", err)
-			os.Exit(3)
-		}
-		fmt.Fprintln(os.Stderr, "bench gate: ok")
 		return
 	}
 	if *only != "" {
@@ -171,11 +72,9 @@ func main() {
 			}
 			fmt.Println(r().String())
 		}
-		writeJSON()
 		return
 	}
 	for _, id := range order {
 		fmt.Println(runners[id]().String())
 	}
-	writeJSON()
 }

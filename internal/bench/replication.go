@@ -3,11 +3,9 @@
 // stops at the first successful admission on the promoted standby —
 // so the figure covers silence detection (FailoverAfter), the term
 // bump, and the first full admission pipeline run on the survivor.
-// The JSON form is what CI archives as BENCH_replication.json.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -19,41 +17,34 @@ import (
 	"github.com/in-net/innet/internal/security"
 )
 
-// ReplicationResult is the machine-readable form of the failover
-// benchmark (serialized to BENCH_replication.json by innet-bench
-// -replication-json).
+// ReplicationResult holds the failover benchmark's measurements.
 type ReplicationResult struct {
-	Format string `json:"format"`
-
 	// Pair configuration the trials ran under.
-	FailoverAfterMs  float64 `json:"failover_after_ms"`
-	HeartbeatEveryMs float64 `json:"heartbeat_every_ms"`
-	AckTimeoutMs     float64 `json:"ack_timeout_ms"`
-	WarmDeploys      int     `json:"warm_deploys"`
+	HeartbeatEveryMs float64
+	AckTimeoutMs     float64
+	WarmDeploys      int
 
 	// Failover time per trial: leader kill -> first successful
 	// admission on the promoted standby.
-	Trials           int       `json:"trials"`
-	FailoverMs       []float64 `json:"failover_ms"`
-	FailoverMsMin    float64   `json:"failover_ms_min"`
-	FailoverMsMedian float64   `json:"failover_ms_median"`
-	FailoverMsMax    float64   `json:"failover_ms_max"`
+	Trials           int
+	FailoverMs       []float64
+	FailoverMsMin    float64
+	FailoverMsMedian float64
+	FailoverMsMax    float64
 	// DetectionFloorMs is the configured silence threshold — the part
 	// of every failover no implementation speedup can remove.
-	DetectionFloorMs float64 `json:"detection_floor_ms"`
+	DetectionFloorMs float64
 
 	// Quorum failover: the same kill, but on a 3-replica group where
 	// the survivors must ELECT a successor (majority vote) before one
 	// of them can admit. The delta over the pair figure is the cost of
 	// the vote round.
-	ElectionTimeoutMs      float64   `json:"election_timeout_ms,omitempty"`
-	QuorumFailoverMs       []float64 `json:"quorum_failover_ms,omitempty"`
-	QuorumFailoverMsMin    float64   `json:"quorum_failover_ms_min,omitempty"`
-	QuorumFailoverMsMedian float64   `json:"quorum_failover_ms_median,omitempty"`
-	QuorumFailoverMsMax    float64   `json:"quorum_failover_ms_max,omitempty"`
+	QuorumFailoverMs       []float64
+	QuorumFailoverMsMin    float64
+	QuorumFailoverMsMedian float64
+	QuorumFailoverMsMax    float64
 
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int
 }
 
 const replBenchModule = `
@@ -171,15 +162,12 @@ func ReplicationMeasure(quick bool) *ReplicationResult {
 		RedialEvery:    10 * time.Millisecond,
 	}
 	r := &ReplicationResult{
-		Format:           BenchFormat,
-		FailoverAfterMs:  float64(opts.FailoverAfter) / float64(time.Millisecond),
 		HeartbeatEveryMs: float64(opts.HeartbeatEvery) / float64(time.Millisecond),
 		AckTimeoutMs:     float64(opts.AckTimeout) / float64(time.Millisecond),
 		WarmDeploys:      warm,
 		Trials:           trials,
 		DetectionFloorMs: float64(opts.FailoverAfter) / float64(time.Millisecond),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		NumCPU:           runtime.NumCPU(),
 	}
 	for i := 0; i < trials; i++ {
 		d, err := measureFailoverOnce(opts, warm)
@@ -201,7 +189,6 @@ func ReplicationMeasure(quick bool) *ReplicationResult {
 		HeartbeatEvery:  opts.HeartbeatEvery,
 		RedialEvery:     opts.RedialEvery,
 	}
-	r.ElectionTimeoutMs = float64(gopts.ElectionTimeout) / float64(time.Millisecond)
 	for i := 0; i < trials; i++ {
 		d, err := measureQuorumFailoverOnce(gopts, warm)
 		if err != nil {
@@ -215,11 +202,6 @@ func ReplicationMeasure(quick bool) *ReplicationResult {
 	r.QuorumFailoverMsMedian = sorted[len(sorted)/2]
 	r.QuorumFailoverMsMax = sorted[len(sorted)-1]
 	return r
-}
-
-// JSON renders the result for archival next to BENCH_pr3.json.
-func (r *ReplicationResult) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
 }
 
 // ReplicationTable renders an already-measured result as a table.

@@ -1,10 +1,5 @@
 package packet
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Pool is a free list of packets. The dataplane benchmarks push
 // millions of packets per second; allocating each packet on the heap
 // would make the garbage collector the bottleneck (the repro
@@ -55,52 +50,4 @@ func (p *Pool) Put(pk *Packet) {
 // because the free list was empty.
 func (p *Pool) Stats() (gets, puts, allocs uint64) {
 	return p.gets, p.puts, p.allocs
-}
-
-// SyncPool is the concurrency-safe counterpart of Pool, backed by
-// sync.Pool: the batched dataplane hands buffers between producer and
-// consumer goroutines, so a single-owner free list no longer fits.
-// Packets recycle through the garbage collector's per-P caches; the
-// hot path (Get of a recently Put packet on the same core) is
-// allocation-free.
-type SyncPool struct {
-	pool       sync.Pool
-	payloadCap int
-	// Stats (atomic: Get/Put race by design).
-	gets, puts, allocs atomic.Uint64
-}
-
-// NewSyncPool returns a concurrent pool whose fresh packets carry
-// payload buffers of the given capacity.
-func NewSyncPool(payloadCap int) *SyncPool {
-	p := &SyncPool{payloadCap: payloadCap}
-	p.pool.New = func() any {
-		p.allocs.Add(1)
-		return &Packet{Payload: make([]byte, 0, payloadCap), pooled: true}
-	}
-	return p
-}
-
-// Get returns a reset packet, allocating if the pool is empty.
-func (p *SyncPool) Get() *Packet {
-	p.gets.Add(1)
-	pk := p.pool.Get().(*Packet)
-	pk.Reset()
-	return pk
-}
-
-// Put recycles a packet. Non-pooled packets (Clone results) are left
-// for the GC, as with Pool.Put.
-func (p *SyncPool) Put(pk *Packet) {
-	if pk == nil || !pk.pooled {
-		return
-	}
-	p.puts.Add(1)
-	p.pool.Put(pk)
-}
-
-// Stats reports pool activity: total Gets, Puts and packets allocated
-// because no recycled packet was available.
-func (p *SyncPool) Stats() (gets, puts, allocs uint64) {
-	return p.gets.Load(), p.puts.Load(), p.allocs.Load()
 }

@@ -1,9 +1,10 @@
 // Leader election for quorum groups (N ≥ 3).
 //
 // A candidate campaigns at a term one past the highest it has seen
-// (journal term, observed term, or a term it already voted in), votes
-// for itself, and solicits the rest of the group over short-lived v2
-// connections (hello kind "vote"). A voter grants at most one vote
+// (journal term, observed term, a term it already voted in, or a term
+// a voter refusing it had voted in), votes for itself, and solicits
+// the rest of the group over short-lived connections (hello kind
+// "vote"). A voter grants at most one vote
 // per term — persisted to a side file before the reply leaves, so a
 // crash-restart cannot double-vote — and only to a candidate whose
 // journal is at least as up-to-date as its own (Raft's log-matching
@@ -21,7 +22,9 @@
 // candidacy: a follower stuck behind a partition may campaign (and
 // lose) many times, and on heal it must rejoin the healthy leader's
 // term rather than depose it with an inflated one. Terms advance only
-// through won elections, granted votes, and observed streams.
+// through won elections, granted votes, and observed streams; a
+// voter's ledger term learned from a refusal only floors the next
+// campaign.
 package replication
 
 import (
@@ -127,14 +130,7 @@ func (n *Node) runElection() error {
 		return nil
 	}
 	st := n.store.State()
-	term := n.term
-	if st.Term > term {
-		term = st.Term
-	}
-	if n.votedTerm > term {
-		term = n.votedTerm
-	}
-	term++
+	term := max(n.term, st.Term, n.votedTerm, n.refusedAt) + 1
 	// Term 1 is reserved for the configured boot leader's founding
 	// record: an elected leader always carries term ≥ 2, so a
 	// never-heard group electing among itself cannot collide with a
@@ -148,7 +144,7 @@ func (n *Node) runElection() error {
 		return fmt.Errorf("replication: election: persist self-vote: %w", err)
 	}
 	req := hello{
-		Proto:     Proto2,
+		Proto:     Proto,
 		Kind:      helloKindVote,
 		Term:      term,
 		Seq:       st.Seq,
@@ -168,30 +164,24 @@ func (n *Node) runElection() error {
 	n.electionsStarted.Add(1)
 	n.logf("replication: campaigning for term %d (%d/%d votes needed)", term, majority, len(addrs)+1)
 
-	type ballot struct {
-		granted  bool
-		peerTerm uint64
-	}
-	results := make(chan ballot, len(addrs))
+	results := make(chan helloReply, len(addrs))
 	for _, addr := range addrs {
 		go func(addr string) {
-			granted, peerTerm := n.solicitVote(addr, req, timeout)
-			results <- ballot{granted, peerTerm}
+			results <- n.solicitVote(addr, req, timeout)
 		}(addr)
 	}
 	votes := 1 // self
-	var maxSeen uint64
+	var maxSeen, maxVoted uint64
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for pending := len(addrs); pending > 0 && votes < majority; pending-- {
 		select {
 		case b := <-results:
-			if b.granted {
+			if b.Granted {
 				votes++
 			}
-			if b.peerTerm > maxSeen {
-				maxSeen = b.peerTerm
-			}
+			maxSeen = max(maxSeen, b.Term)
+			maxVoted = max(maxVoted, b.Voted)
 		case <-deadline.C:
 			pending = 0
 		case <-n.stop:
@@ -205,6 +195,7 @@ func (n *Node) runElection() error {
 		// campaign (if any) clears it.
 		n.term = maxSeen
 	}
+	n.refusedAt = max(n.refusedAt, maxVoted)
 	if votes < majority {
 		n.mu.Unlock()
 		n.electionsLost.Add(1)
@@ -229,31 +220,29 @@ func (n *Node) runElection() error {
 	return nil
 }
 
-// solicitVote asks one peer for its vote over a short-lived v2
-// connection. Unreachable or v1-only peers simply do not vote.
-func (n *Node) solicitVote(addr string, req hello, timeout time.Duration) (granted bool, peerTerm uint64) {
+// solicitVote asks one peer for its vote over a short-lived
+// connection. An unreachable peer, or one whose reply does not parse,
+// answers with the zero reply: no vote.
+func (n *Node) solicitVote(addr string, req hello, timeout time.Duration) helloReply {
+	var rep helloReply
 	conn, err := n.dial(addr)
 	if err != nil {
-		return false, 0
+		return rep
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
 	if err := writeJSONLine(conn, req); err != nil {
-		return false, 0
+		return rep
 	}
 	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err != nil {
-		return false, 0
+	if err != nil || json.Unmarshal(line, &rep) != nil {
+		return helloReply{}
 	}
-	var rep helloReply
-	if err := json.Unmarshal(line, &rep); err != nil {
-		return false, 0
-	}
-	return rep.Granted, rep.Term
+	return rep
 }
 
 // handleVote is the voter side of an election, dispatched from the
-// accept path on a v2 hello with kind "vote". The connection carries
+// accept path on a hello with kind "vote". The connection carries
 // exactly one reply line and closes.
 func (n *Node) handleVote(conn net.Conn, h hello) {
 	n.mu.Lock()
@@ -310,7 +299,7 @@ func (n *Node) handleVote(conn net.Conn, h hello) {
 		// this node considers campaigning itself.
 		n.lastContact = time.Now()
 	}
-	rep := helloReply{OK: granted, Granted: granted, Proto: Proto2, Term: n.term, Reason: reason}
+	rep := helloReply{OK: granted, Granted: granted, Proto: Proto, Term: n.term, Voted: n.votedTerm, Reason: reason}
 	n.mu.Unlock()
 	if granted {
 		n.logf("replication: granted vote to %s for term %d", h.Candidate, h.Term)

@@ -51,14 +51,8 @@ import (
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// Proto names the v1 wire protocol version carried in the handshake.
-const Proto = "innet-repl/1"
-
-// Proto2 is the v2 protocol: same stream format, but the hello gains
-// a kind (stream vs vote solicitation) and log-position fields for
-// elections. Dialers offer v2 and fall back per-peer when a v1
-// acceptor refuses it; acceptors take both.
-const Proto2 = "innet-repl/2"
+// Proto names the wire protocol version carried in the handshake.
+const Proto = "innet-repl/2"
 
 // ErrFenced is returned by appends on a deposed (or self-fenced)
 // leader: the node is read-only until an operator restarts it as a
@@ -152,9 +146,6 @@ type peer struct {
 	// vanished — blocks and fences. At N ≥ 3 the same field scopes
 	// majority counting to acks earned in the current term.
 	termConnected uint64
-	// proto is the negotiated wire protocol for this peer ("" = offer
-	// v2 first; set to Proto after a v1-only acceptor refuses v2).
-	proto string
 }
 
 // waiter is one AppendSync blocked until its seq is acknowledged by
@@ -198,6 +189,10 @@ type Node struct {
 	// n.term, so a failed candidacy cannot depose a healthy leader.
 	votedTerm uint64
 	votedFor  string
+	// refusedAt is the highest vote-ledger term a voter reported when
+	// refusing this node's candidacy. The next campaign starts above
+	// it; like a self-vote, it never enters n.term.
+	refusedAt uint64
 	// quorumLostSince marks when a quorum-mode leader last lost
 	// contact with a majority; the supervisor fences it once the gap
 	// exceeds AckTimeout even if no append is in flight.

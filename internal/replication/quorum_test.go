@@ -3,14 +3,11 @@ package replication
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"io"
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -178,6 +175,13 @@ func TestQuorumElectionAfterLeaderCrash(t *testing.T) {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
+	// A majority commit needs only one follower's ack, so the
+	// candidate may still trail the leader when Deploy returns; the
+	// voter would then rightly refuse it as behind. Crash the leader
+	// only once both followers hold its whole journal.
+	waitFor(t, "followers caught up", func() bool {
+		return group[1].store.Seq() == group[0].store.Seq() && group[2].store.Seq() == group[0].store.Seq()
+	})
 	group[0].node.Close()
 	group[0].store.Close()
 
@@ -316,14 +320,14 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	st := follower.store.State()
 
 	rep := sendRaw(t, follower.node.Addr(), hello{
-		Proto: Proto2, Kind: helloKindVote, Term: st.Term + 1,
+		Proto: Proto, Kind: helloKindVote, Term: st.Term + 1,
 		Seq: st.Seq - 1, LastTerm: st.Term, Candidate: "stale",
 	})
 	if rep.Granted {
 		t.Fatal("vote granted to a candidate one record behind")
 	}
 	rep = sendRaw(t, follower.node.Addr(), hello{
-		Proto: Proto2, Kind: helloKindVote, Term: st.Term + 1,
+		Proto: Proto, Kind: helloKindVote, Term: st.Term + 1,
 		Seq: st.Seq, LastTerm: st.Term - 1, Candidate: "old-term",
 	})
 	if rep.Granted {
@@ -331,7 +335,7 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	}
 	// An up-to-date candidate gets the vote…
 	rep = sendRaw(t, follower.node.Addr(), hello{
-		Proto: Proto2, Kind: helloKindVote, Term: st.Term + 1,
+		Proto: Proto, Kind: helloKindVote, Term: st.Term + 1,
 		Seq: st.Seq, LastTerm: st.Term, Candidate: "fresh",
 	})
 	if !rep.Granted {
@@ -340,14 +344,14 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	// …and holds it: a rival in the same term is refused, while the
 	// original re-solicitation is re-granted idempotently.
 	rep = sendRaw(t, follower.node.Addr(), hello{
-		Proto: Proto2, Kind: helloKindVote, Term: st.Term + 1,
+		Proto: Proto, Kind: helloKindVote, Term: st.Term + 1,
 		Seq: st.Seq + 9, LastTerm: st.Term, Candidate: "rival",
 	})
 	if rep.Granted {
 		t.Fatal("double vote in one term")
 	}
 	rep = sendRaw(t, follower.node.Addr(), hello{
-		Proto: Proto2, Kind: helloKindVote, Term: st.Term + 1,
+		Proto: Proto, Kind: helloKindVote, Term: st.Term + 1,
 		Seq: st.Seq, LastTerm: st.Term, Candidate: "fresh",
 	})
 	if !rep.Granted {
@@ -383,7 +387,7 @@ func TestVoteSurvivesRestart(t *testing.T) {
 		return node, func() { node.Close(); store.Close() }
 	}
 	node, shutdown := boot()
-	rep := sendRaw(t, node.Addr(), hello{Proto: Proto2, Kind: helloKindVote, Term: 5, Candidate: "first"})
+	rep := sendRaw(t, node.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 5, Candidate: "first"})
 	if !rep.Granted {
 		t.Fatalf("initial vote denied: %s", rep.Reason)
 	}
@@ -391,143 +395,51 @@ func TestVoteSurvivesRestart(t *testing.T) {
 
 	node, shutdown = boot()
 	defer shutdown()
-	rep = sendRaw(t, node.Addr(), hello{Proto: Proto2, Kind: helloKindVote, Term: 5, Candidate: "second"})
+	rep = sendRaw(t, node.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 5, Candidate: "second"})
 	if rep.Granted {
 		t.Fatal("restart forgot the persisted vote: double vote in term 5")
 	}
-	rep = sendRaw(t, node.Addr(), hello{Proto: Proto2, Kind: helloKindVote, Term: 5, Candidate: "first"})
+	rep = sendRaw(t, node.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 5, Candidate: "first"})
 	if !rep.Granted {
 		t.Fatalf("persisted vote not re-granted to its candidate: %s", rep.Reason)
 	}
 }
 
-func TestV1StreamHelloStillAccepted(t *testing.T) {
-	// A v1 dialer (an un-upgraded leader) must still be able to open a
-	// stream against a v2 node: the acceptor takes both protocols.
-	follower := newReplica(t, Config{Role: controller.RoleStandby, ListenAddr: "127.0.0.1:0"})
-	rep := sendRaw(t, follower.node.Addr(), hello{Proto: Proto, Term: 7, Seq: 0})
-	if !rep.OK {
-		t.Fatalf("v1 hello refused: %s", rep.Reason)
-	}
-	if rep.Proto != "" {
-		t.Fatalf("v1 hello answered with proto %q — v1 clients would choke on surprises", rep.Proto)
-	}
-	// And a vote over v1 is refused: elections are v2 vocabulary.
-	rep = sendRaw(t, follower.node.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 9, Candidate: "x"})
-	if rep.OK || rep.Granted {
-		t.Fatal("v1 vote hello accepted")
-	}
-}
-
-// ackRecorder collects the seqs a fake follower acknowledged.
-type ackRecorder struct {
-	mu   sync.Mutex
-	seqs []uint64
-}
-
-func (a *ackRecorder) add(seq uint64) {
-	a.mu.Lock()
-	a.seqs = append(a.seqs, seq)
-	a.mu.Unlock()
-}
-
-func (a *ackRecorder) count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.seqs)
-}
-
-// v1OnlyStandby is a minimal innet-repl/1 acceptor: it refuses v2
-// hellos with the v1 implementation's exact "bad protocol" reply,
-// accepts v1 streams, ingests frames, and acks their seqs.
-func v1OnlyStandby(t *testing.T, ln net.Listener, acked *ackRecorder, done chan<- struct{}) {
-	defer close(done)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
+func TestVoteRefusalCarriesVotedTerm(t *testing.T) {
+	// A voter whose own lost campaigns pushed its vote ledger past its
+	// term refuses every lower-term candidate. Its refusal must say how
+	// far the candidate has to jump, so the candidate's next campaign
+	// clears the ledger instead of losing one term at a time.
+	deadAddrs := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	voter := newReplica(t, Config{Role: controller.RoleStandby, ListenAddr: "127.0.0.1:0", Peers: deadAddrs})
+	for i := 0; i < 3; i++ {
+		if err := voter.node.Promote(); !errors.Is(err, errElectionLost) {
+			t.Fatalf("voter campaign %d = %v, want errElectionLost", i, err)
 		}
-		func() {
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			line, err := br.ReadBytes('\n')
-			if err != nil {
-				return
-			}
-			var h map[string]any
-			if json.Unmarshal(line, &h) != nil || h["proto"] != Proto {
-				writeJSONLine(conn, helloReply{OK: false, Reason: "bad protocol"})
-				return
-			}
-			writeJSONLine(conn, helloReply{OK: true, Term: 0, Have: 0})
-			ackBuf := make([]byte, 8)
-			for {
-				tag, err := br.ReadByte()
-				if err != nil {
-					return
-				}
-				switch tag {
-				case 'H':
-					if _, err := io.ReadFull(br, ackBuf); err != nil {
-						return
-					}
-				case 'F':
-					frame, err := readFrame(br)
-					if err != nil {
-						return
-					}
-					recs, _ := journal.DecodeAll(frame, 0)
-					if len(recs) != 1 {
-						return
-					}
-					acked.add(recs[0].Seq)
-					binary.LittleEndian.PutUint64(ackBuf, recs[0].Seq)
-					if _, err := conn.Write(ackBuf); err != nil {
-						return
-					}
-				default:
-					return
-				}
-			}
-		}()
 	}
-}
+	voter.node.mu.Lock()
+	votedTerm := voter.node.votedTerm
+	voter.node.mu.Unlock()
+	if votedTerm != 4 || voter.node.Term() != 0 {
+		t.Fatalf("voter votedTerm %d term %d, want 4 and 0", votedTerm, voter.node.Term())
+	}
 
-func TestLeaderDowngradesToV1Peer(t *testing.T) {
-	// A v2 leader shipping to a v1-only follower: the first (v2) hello
-	// is refused "bad protocol", the leader pins the peer to v1 and
-	// the next dial succeeds — 2-node configs keep working across a
-	// rolling upgrade.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	cand := newReplica(t, Config{Role: controller.RoleStandby, ListenAddr: "127.0.0.1:0",
+		Peers: []string{voter.node.Addr(), deadAddrs[0]}})
+	if err := cand.node.Promote(); !errors.Is(err, errElectionLost) {
+		t.Fatalf("first campaign = %v, want errElectionLost", err)
 	}
-	var acked ackRecorder
-	done := make(chan struct{})
-	go v1OnlyStandby(t, ln, &acked, done)
-	// Registered before newReplica's cleanups, so this runs AFTER the
-	// leader node closes (LIFO): the dead stream lets the fake's
-	// single-threaded accept loop notice the closed listener and exit.
-	t.Cleanup(func() { ln.Close(); <-done })
-
-	leader := newReplica(t, Config{
-		Role:       controller.RoleLeader,
-		AckTimeout: 3 * time.Second,
-		Peers:      []string{ln.Addr().String()},
-	})
-	// A strict append commits in pair mode only once the v1 follower
-	// acks — proving the downgrade produced a working stream.
-	if _, err := leader.ctl.Deploy(testRequest(0)); err != nil {
-		t.Fatalf("deploy to v1-only follower: %v", err)
+	// The refusal's voted term floors the next campaign, but it is not
+	// adopted as the candidate's term: a healed minority candidate must
+	// still rejoin a healthy leader's term rather than depose it.
+	if got := cand.node.Term(); got != 0 {
+		t.Fatalf("candidate adopted term %d from a refusal", got)
 	}
-	leader.node.mu.Lock()
-	proto := leader.node.peers[0].proto
-	leader.node.mu.Unlock()
-	if proto != Proto {
-		t.Fatalf("peer proto = %q, want pinned to %q", proto, Proto)
+	if err := cand.node.Promote(); err != nil {
+		t.Fatalf("second campaign: %v", err)
 	}
-	if acked.count() == 0 {
-		t.Fatal("v1 follower acked nothing")
+	if cand.node.Role() != controller.RoleLeader || cand.node.Term() != 5 {
+		t.Fatalf("candidate role %v term %d, want leader at term 5", cand.node.Role(), cand.node.Term())
 	}
 }
 

@@ -304,7 +304,7 @@ func TestEqualTermHelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeJSONLine(conn, hello{Proto: Proto, Term: a.node.Term(), Seq: 9}); err != nil {
+	if err := writeJSONLine(conn, hello{Proto: Proto, Kind: helloKindStream, Term: a.node.Term(), Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)

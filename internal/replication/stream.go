@@ -34,18 +34,17 @@ const handshakeTimeout = 5 * time.Second
 // maxSnapshotBytes bounds a resync snapshot read off the wire.
 const maxSnapshotBytes = 256 << 20
 
-// Hello kinds (v2). A v1 hello has no kind and is always a stream.
+// Hello kinds.
 const (
 	helloKindStream = "stream"
 	helloKindVote   = "vote"
 )
 
 // hello is the dialer's opening line: a leader opening a frame stream
-// or (v2) a candidate soliciting a vote.
+// or a candidate soliciting a vote.
 type hello struct {
 	Proto string `json:"proto"`
-	// Kind distinguishes a frame stream from a vote solicitation
-	// (v2 only; empty means stream for v1 compatibility).
+	// Kind distinguishes a frame stream from a vote solicitation.
 	Kind string `json:"kind,omitempty"`
 	// Term and Seq describe the dialer's journal head; Start is the
 	// sequence of the record that began its term.
@@ -53,7 +52,7 @@ type hello struct {
 	Seq   uint64 `json:"seq"`
 	Start uint64 `json:"start"`
 	// LastTerm is the term governing the record at Seq — the log
-	// position voters compare against their own (v2 vote hellos).
+	// position voters compare against their own (vote hellos).
 	LastTerm uint64 `json:"last_term,omitempty"`
 	// Candidate identifies the campaigner on a vote hello, so a voter
 	// can re-grant idempotently and never double-vote in a term.
@@ -66,15 +65,17 @@ type hello struct {
 // helloReply is the acceptor's answer.
 type helloReply struct {
 	OK bool `json:"ok"`
-	// Proto echoes the accepted protocol version (v2 acceptors only;
-	// absent means a v1 acceptor).
+	// Proto echoes the accepted protocol version.
 	Proto string `json:"proto,omitempty"`
 	// Term and Have describe the acceptor's journal head; the leader
 	// uses them to choose incremental catch-up or a snapshot resync.
 	Term uint64 `json:"term"`
 	Have uint64 `json:"have"`
-	// Granted reports a vote grant on a vote solicitation.
+	// Granted reports a vote grant on a vote solicitation; Voted is
+	// the highest term the voter has cast a vote in, which a refused
+	// candidate's next campaign must exceed.
 	Granted bool   `json:"granted,omitempty"`
+	Voted   uint64 `json:"voted,omitempty"`
 	Reason  string `json:"reason,omitempty"`
 }
 
@@ -113,17 +114,13 @@ func (n *Node) serve(conn net.Conn) {
 		return
 	}
 	var h hello
-	if err := json.Unmarshal(line, &h); err != nil || (h.Proto != Proto && h.Proto != Proto2) {
+	if err := json.Unmarshal(line, &h); err != nil || h.Proto != Proto {
 		writeJSONLine(conn, helloReply{OK: false, Reason: "bad protocol"})
 		return
 	}
 	switch h.Kind {
-	case "", helloKindStream:
+	case helloKindStream:
 	case helloKindVote:
-		if h.Proto != Proto2 {
-			writeJSONLine(conn, helloReply{OK: false, Reason: "vote requires " + Proto2})
-			return
-		}
 		n.handleVote(conn, h)
 		return
 	default:
@@ -172,10 +169,7 @@ func (n *Node) serve(conn net.Conn) {
 	n.lastContact = time.Now()
 	n.everHeard = true
 	st := n.store.State()
-	rep := helloReply{OK: true, Term: st.Term, Have: st.Seq}
-	if h.Proto == Proto2 {
-		rep.Proto = Proto2
-	}
+	rep := helloReply{OK: true, Proto: Proto, Term: st.Term, Have: st.Seq}
 	n.ingests = append(n.ingests, conn)
 	n.mu.Unlock()
 	defer n.dropIngest(conn)
@@ -392,18 +386,8 @@ func (n *Node) runPeer(p *peer) error {
 
 	n.mu.Lock()
 	st := n.store.State()
-	// Offer v2 until the peer proves to be v1-only ("bad protocol"
-	// refusal), then stick to v1 for this peer. The stream format is
-	// identical; only the hello vocabulary differs.
-	proto := p.proto
-	if proto == "" {
-		proto = Proto2
-	}
-	h := hello{Proto: proto, Term: n.term, Seq: st.Seq, Start: st.TermStart, URL: n.cfg.AdvertiseURL}
-	if proto == Proto2 {
-		h.Kind = helloKindStream
-		h.LastTerm = st.Term
-	}
+	h := hello{Proto: Proto, Kind: helloKindStream, Term: n.term, Seq: st.Seq, Start: st.TermStart,
+		LastTerm: st.Term, URL: n.cfg.AdvertiseURL}
 	n.mu.Unlock()
 	if err := writeJSONLine(conn, h); err != nil {
 		return err
@@ -418,12 +402,6 @@ func (n *Node) runPeer(p *peer) error {
 		return fmt.Errorf("bad hello reply: %v", err)
 	}
 	if !rep.OK {
-		if proto == Proto2 && rep.Reason == "bad protocol" {
-			n.mu.Lock()
-			p.proto = Proto
-			n.mu.Unlock()
-			return fmt.Errorf("peer %s is %s-only, downgrading", p.addr, Proto)
-		}
 		n.mu.Lock()
 		if rep.Term > n.term {
 			n.fenceLocked("", fmt.Sprintf("refused by peer %s at term %d (own term %d)", p.addr, rep.Term, n.term))
@@ -431,9 +409,6 @@ func (n *Node) runPeer(p *peer) error {
 		n.mu.Unlock()
 		return fmt.Errorf("peer refused: %s", rep.Reason)
 	}
-	n.mu.Lock()
-	p.proto = proto
-	n.mu.Unlock()
 	conn.SetDeadline(time.Time{})
 
 	// Choose the catch-up under the lock and register the live channel

@@ -1,27 +1,49 @@
 #!/usr/bin/env bash
-# CI bench regression gate: fail when the newest BENCH_HISTORY.jsonl
-# entry dropped more than the threshold vs the previous entry from the
-# same environment. The comparison itself lives in internal/bench
-# (bench.Gate); this wrapper just names the invocation for CI and
-# `make bench-gate`.
+# The performance gate: the end-to-end benchmark of this checkout
+# against a base ref, as interleaved pairs on this one host, for every
+# workload in BENCHMARK.json. Figures from different hosts or sessions
+# are never compared, only runs taken side by side here.
 #
-#   scripts/bench_gate.sh [HISTORY_FILE] [THRESHOLD]
+#   scripts/bench_gate.sh BASE_REF
 #
-# HISTORY_FILE defaults to BENCH_HISTORY.jsonl; THRESHOLD is the
-# relative drop that fails the build (default 0.15 = 15%). Gated
-# metrics: dispatch_batch_pps, admission_cold_ops_per_sec. A history
-# with fewer than two comparable entries passes vacuously (first run on
-# a fresh environment).
+# BASE_REF is checked out into a temporary git worktree (removed on
+# exit), and scripts/bench_pairs.sh runs 3 pairs of 10 s runs per
+# workload. The gate exits 1 when any end-to-end metric's verdict
+# is "worse" (its median worse than the base's by more than the
+# metric's bound in BENCHMARK.json); a failed run or a run whose output
+# is incorrect aborts it non-zero. It takes about 5 minutes on 2 CPUs;
+# run nothing else meanwhile.
 set -euo pipefail
 
-cd "$(dirname "$0")/.."
-
-HISTORY="${1:-BENCH_HISTORY.jsonl}"
-THRESHOLD="${2:-0.15}"
-
-if [ ! -f "$HISTORY" ]; then
-    echo "bench gate: no history file $HISTORY (nothing to gate)" >&2
-    exit 0
+if [ $# -ne 1 ]; then
+	sed -n 's/^#   //p' "$0" >&2
+	exit 2
 fi
+readonly pairs=3 seconds=10
 
-exec go run ./cmd/innet-bench -gate -history "$HISTORY" -gate-threshold "$THRESHOLD"
+cd "$(dirname "$0")/.."
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench-gate.XXXXXX")"
+base="$tmp/base"
+cleanup() {
+	git worktree remove --force "$base" 2>/dev/null || true
+	rm -rf "$tmp"
+	git worktree prune
+}
+trap cleanup EXIT
+git worktree add --quiet --detach "$base" "$1"
+
+# The workload names: every "name" inside BENCHMARK.json's workloads
+# array.
+workloads="$(awk '/"workloads"/ { on = 1 } on && /"name"/ { split($0, f, "\""); print f[4] } on && /^  \]/ { exit }' BENCHMARK.json)"
+
+for w in $workloads; do
+	bash scripts/bench_pairs.sh "$base" . "$w" "$pairs" "$seconds" | tee "$tmp/pairs.txt"
+	grep ' worse$' "$tmp/pairs.txt" | sed "s/^/$w: /" >>"$tmp/worse.txt" || true
+done
+
+if [ -s "$tmp/worse.txt" ]; then
+	echo "bench gate: FAIL against $1, worse beyond the bound:" >&2
+	cat "$tmp/worse.txt" >&2
+	exit 1
+fi
+echo "bench gate: ok against $1"
