@@ -52,7 +52,8 @@ bench-pairs:
 
 # The CI performance gate: interleaved base/change pairs of every
 # end-to-end workload in BENCHMARK.json (scripts/bench_gate.sh); fails
-# when any end-to-end metric is worse than its bound:
+# when an end-to-end metric is worse than its bound at 3 pairs and
+# still is when that workload is re-run at 10:
 #   make bench-gate BASE=origin/main
 BASE ?=
 bench-gate:

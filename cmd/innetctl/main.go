@@ -203,10 +203,10 @@ func list(c *api.Client) error {
 		fmt.Println("no deployments")
 		return nil
 	}
-	fmt.Printf("%-8s %-12s %-12s %-12s %-16s %-10s %-10s %-9s %s\n", "ID", "TENANT", "MODULE", "PLATFORM", "ADDR", "STATUS", "DATAPLANE", "SANDBOXED", "FALLBACK-REASON")
+	fmt.Printf("%-8s %-12s %-12s %-12s %-16s %-10s %s\n", "ID", "TENANT", "MODULE", "PLATFORM", "ADDR", "STATUS", "SANDBOXED")
 	for _, m := range mods {
-		fmt.Printf("%-8s %-12s %-12s %-12s %-16s %-10s %-10s %-9v %s\n",
-			m.ID, m.Tenant, m.ModuleName, m.Platform, m.Addr, m.Status, m.Dataplane, m.Sandboxed, m.FallbackReason)
+		fmt.Printf("%-8s %-12s %-12s %-12s %-16s %-10s %v\n",
+			m.ID, m.Tenant, m.ModuleName, m.Platform, m.Addr, m.Status, m.Sandboxed)
 	}
 	return nil
 }
@@ -238,29 +238,6 @@ func health(c *api.Client) error {
 				state = fmt.Sprintf("connected (stale term %d)", p.TermConnected)
 			}
 			fmt.Printf("peer %s: acked=%d lag=%d %s\n", p.Addr, p.AckedSeq, p.Lag, state)
-		}
-	}
-	if p := h.Pipeline; p != nil {
-		fmt.Printf("pipeline: compiled=%d fallback=%d\n", p.Compiled, p.Fallback)
-		reasons := make([]string, 0, len(p.Reasons))
-		for r := range p.Reasons {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Printf("pipeline fallback (%d): %s\n", p.Reasons[r], r)
-		}
-		mods := make([]string, 0, len(p.Modules))
-		for m := range p.Modules {
-			mods = append(mods, m)
-		}
-		sort.Strings(mods)
-		for _, m := range mods {
-			if reason := p.Modules[m]; reason != "" {
-				fmt.Printf("module %s: graph-walk (%s)\n", m, reason)
-			} else {
-				fmt.Printf("module %s: compiled\n", m)
-			}
 		}
 	}
 	printDropRollup(h.DropReasons)
@@ -426,8 +403,8 @@ func pathtrace(c *api.Client, args []string) error {
 		return nil
 	}
 	for _, tr := range res.Traces {
-		fmt.Printf("trace %d flow=%x dataplane=%s (at %s)\n",
-			tr.Seq, tr.FlowHash, tr.Dataplane, tr.Time.Format(time.RFC3339))
+		fmt.Printf("trace %d flow=%x (at %s)\n",
+			tr.Seq, tr.FlowHash, tr.Time.Format(time.RFC3339))
 		for _, h := range tr.Hops {
 			fmt.Printf("  %-18s in=%-3s out=%-3s %s\n",
 				h.Elem, port(h.InPort), port(h.OutPort), h.Verdict)

@@ -59,12 +59,6 @@ type ModuleInfo struct {
 	// Status is the deployment lifecycle state: "active",
 	// "degraded", "migrating" or "failed".
 	Status string `json:"status"`
-	// Dataplane is "pipeline" when the deployed config compiles into
-	// the flattened run-to-completion dataplane, "graph-walk"
-	// otherwise; FallbackReason carries the compiler's reason in the
-	// latter case.
-	Dataplane      string `json:"dataplane"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
 }
 
 // HealthResponse is the GET /v1/health body.
@@ -91,25 +85,11 @@ type HealthResponse struct {
 	// and peers use it to find the leader after a failover. Absent on
 	// an unreplicated (single) controller.
 	Replication *ReplicationInfo `json:"replication,omitempty"`
-	// Pipeline summarizes the compiled-dataplane status across live
-	// deployments (compiled vs graph-walk fallback counts, fallback
-	// reasons).
-	Pipeline *PipelineInfo `json:"pipeline,omitempty"`
 	// DropReasons is the unified drop-attribution rollup: subsystem
 	// site → taxonomy reason → total count, mirroring
 	// innet_drops_total{site,reason}. Present when the daemon has the
 	// drop hub wired.
 	DropReasons map[string]map[string]uint64 `json:"drop_reasons,omitempty"`
-}
-
-// PipelineInfo is the compiled-dataplane slice of GET /v1/health.
-type PipelineInfo struct {
-	Compiled int            `json:"compiled"`
-	Fallback int            `json:"fallback"`
-	Reasons  map[string]int `json:"reasons,omitempty"`
-	// Modules maps each live module name to its fallback reason; a
-	// compiled module maps to "".
-	Modules map[string]string `json:"modules,omitempty"`
 }
 
 // ReplicationInfo is the replication slice of GET /v1/health.

@@ -96,7 +96,7 @@ func TestPathTraceEndpoint(t *testing.T) {
 	if err := json.Unmarshal(raw.Traces[0], &trace); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"seq", "time", "flow_hash", "dataplane", "hops"} {
+	for _, key := range []string{"seq", "time", "flow_hash", "hops"} {
 		if _, ok := trace[key]; !ok {
 			t.Errorf("trace missing %q: %s", key, raw.Traces[0])
 		}
@@ -213,10 +213,8 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestHealthDropReasons asserts the unified drop rollup and the
-// per-module pipeline map ride /v1/health: an admission rejection
-// shows up under site "admission", and the deployed module appears in
-// pipeline.modules.
+// TestHealthDropReasons asserts the unified drop rollup rides
+// /v1/health: an admission rejection shows up under site "admission".
 func TestHealthDropReasons(t *testing.T) {
 	ts, c, _, _ := newObservableServer(t)
 	if _, err := c.Deploy(DeployRequest{
@@ -239,9 +237,6 @@ func TestHealthDropReasons(t *testing.T) {
 	defer resp.Body.Close()
 	var raw struct {
 		DropReasons map[string]map[string]uint64 `json:"drop_reasons"`
-		Pipeline    struct {
-			Modules map[string]string `json:"modules"`
-		} `json:"pipeline"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
@@ -254,15 +249,12 @@ func TestHealthDropReasons(t *testing.T) {
 			t.Errorf("drop rollup missing site %q: %v", site, raw.DropReasons)
 		}
 	}
-	if _, ok := raw.Pipeline.Modules["dns"]; !ok {
-		t.Errorf("pipeline.modules missing dns: %v", raw.Pipeline.Modules)
-	}
 
 	h, err := c.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.DropReasons == nil || h.Pipeline == nil || h.Pipeline.Modules == nil {
-		t.Errorf("typed health lost the rollups: drops=%v pipeline=%+v", h.DropReasons, h.Pipeline)
+	if h.DropReasons == nil {
+		t.Errorf("typed health lost the drop rollup")
 	}
 }

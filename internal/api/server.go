@@ -547,15 +547,13 @@ func (s *Server) moduleByID(w http.ResponseWriter, r *http.Request) {
 
 func moduleInfo(d *controller.Deployment) ModuleInfo {
 	return ModuleInfo{
-		ID:             d.ID,
-		Tenant:         d.Tenant,
-		ModuleName:     d.ModuleName,
-		Platform:       d.Platform,
-		Addr:           packet.IPString(d.Addr),
-		Sandboxed:      d.Sandboxed,
-		Status:         d.Status().String(),
-		Dataplane:      d.Dataplane(),
-		FallbackReason: d.PipelineFallback,
+		ID:         d.ID,
+		Tenant:     d.Tenant,
+		ModuleName: d.ModuleName,
+		Platform:   d.Platform,
+		Addr:       packet.IPString(d.Addr),
+		Sandboxed:  d.Sandboxed,
+		Status:     d.Status().String(),
 	}
 }
 
@@ -588,13 +586,6 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		Evictions:     cs.Evictions,
 		Invalidations: cs.Invalidations,
 		Entries:       cs.Entries,
-	}
-	ps := s.ctl.PipelineStatsSnapshot()
-	resp.Pipeline = &PipelineInfo{
-		Compiled: ps.Compiled,
-		Fallback: ps.Fallback,
-		Reasons:  ps.Reasons,
-		Modules:  ps.Modules,
 	}
 	if s.sim != nil {
 		resp.Drops = s.sim.Drops()

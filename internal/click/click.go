@@ -11,9 +11,9 @@
 // driven by the owner of the router (dataplane loop or simulator).
 //
 // Each element class defines its per-packet behaviour exactly once, in
-// Step. Two drivers run it: Push here (the graph walk, following
-// click.Target wiring) and pipeline.Exec (the same walk over a
-// pre-resolved stage table).
+// Step, and one driver runs it: Push here, the graph walk following
+// click.Target wiring. pipeline.Exec is a counting Context around the
+// same walk.
 package click
 
 import (
@@ -35,22 +35,23 @@ type Context struct {
 	// ToNetfront element with the given interface index.
 	Transmit func(iface int, p *packet.Packet)
 	// DropHook, if non-nil, observes every dropped packet (packets
-	// pushed to an unconnected port or discarded by an element).
-	DropHook func(p *packet.Packet)
+	// pushed to an unconnected port or discarded by an element) with
+	// the reason the walk dropped it for.
+	DropHook func(r DropReason, p *packet.Packet)
 	// PathHook, if non-nil, observes every Step of the graph walk: the
 	// element, the port the packet arrived on, the output port the
 	// element chose (-1 when it consumed the packet) and what became
-	// of the packet. The sampled path tracer arms it per traced packet;
-	// when unset each step pays one nil check.
+	// of the packet. pipeline.Exec's sampled path tracer arms it per
+	// traced packet; when unset each step pays one nil check.
 	PathHook func(elem string, inPort, outPort int, v Verdict, p *packet.Packet)
 	// Pool recycles dropped packets when non-nil.
 	Pool *packet.Pool
 }
 
-// Drop disposes of a packet.
-func (c *Context) Drop(p *packet.Packet) {
+// Drop disposes of a packet dropped for reason r.
+func (c *Context) Drop(r DropReason, p *packet.Packet) {
 	if c.DropHook != nil {
-		c.DropHook(p)
+		c.DropHook(r, p)
 	}
 	if c.Pool != nil {
 		c.Pool.Put(p)
@@ -165,7 +166,7 @@ func (b *Base) Out(ctx *Context, p int, pk *packet.Packet) {
 		push(ctx, t.Elem, t.base, t.Port, pk)
 		return
 	}
-	ctx.Drop(pk)
+	ctx.Drop(DropUnwired, pk)
 }
 
 // Connected reports whether output port p is wired.
@@ -312,9 +313,12 @@ func (r *Router) Elements() []Element { return r.order }
 // NumSources returns the number of injection points (FromNetfront).
 func (r *Router) NumSources() int { return len(r.sources) }
 
-// Inject pushes a packet into the i'th injection point.
+// Inject pushes a packet into the i'th injection point. A packet for
+// an injection point the router lacks has nowhere to go: it is dropped
+// as unwired and the error says so.
 func (r *Router) Inject(ctx *Context, i int, p *packet.Packet) error {
 	if i < 0 || i >= len(r.sources) {
+		ctx.Drop(DropUnwired, p)
 		return fmt.Errorf("click: no injection point %d (have %d)", i, len(r.sources))
 	}
 	push(ctx, r.sources[i].Elem, r.sources[i].base, 0, p)

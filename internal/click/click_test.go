@@ -79,9 +79,16 @@ func TestBuildErrors(t *testing.T) {
 
 func TestInjectErrors(t *testing.T) {
 	r := click.MustBuildString(`d :: Discard();`)
-	ctx := &click.Context{Now: func() int64 { return 0 }}
+	var dropped []click.DropReason
+	ctx := &click.Context{
+		Now:      func() int64 { return 0 },
+		DropHook: func(r click.DropReason, _ *packet.Packet) { dropped = append(dropped, r) },
+	}
 	if err := r.Inject(ctx, 0, &packet.Packet{}); err == nil {
 		t.Error("inject into router with no sources should fail")
+	}
+	if len(dropped) != 1 || dropped[0] != click.DropUnwired {
+		t.Errorf("packet for a missing injection point: drops %v, want one unwired", dropped)
 	}
 	if r.NumSources() != 0 {
 		t.Error("NumSources")
@@ -92,8 +99,13 @@ func TestDropOnUnconnectedPort(t *testing.T) {
 	r := click.MustBuildString(`in :: FromNetfront();`) // output unwired
 	dropped := 0
 	ctx := &click.Context{
-		Now:      func() int64 { return 0 },
-		DropHook: func(p *packet.Packet) { dropped++ },
+		Now: func() int64 { return 0 },
+		DropHook: func(r click.DropReason, p *packet.Packet) {
+			if r != click.DropUnwired {
+				t.Errorf("reason = %v, want unwired", r)
+			}
+			dropped++
+		},
 	}
 	if err := r.Inject(ctx, 0, &packet.Packet{}); err != nil {
 		t.Fatal(err)
@@ -107,7 +119,7 @@ func TestDropRecyclesToPool(t *testing.T) {
 	pool := packet.NewPool(1, 0)
 	ctx := &click.Context{Now: func() int64 { return 0 }, Pool: pool}
 	p := pool.Get()
-	ctx.Drop(p)
+	ctx.Drop(click.DropDiscard, p)
 	_, puts, _ := pool.Stats()
 	if puts != 1 {
 		t.Errorf("pool puts = %d", puts)

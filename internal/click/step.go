@@ -26,17 +26,13 @@ const (
 	DropNoRoute
 	// DropOverflow: a bounded Queue was full.
 	DropOverflow
-	// DropOther: dropped while a ticker drained a compiled module's
-	// queue through the graph walk, where Context.Drop carries no
-	// reason.
-	DropOther
 
 	// NumDropReasons sizes per-reason counter arrays.
 	NumDropReasons = int(iota)
 )
 
 var dropReasonNames = [NumDropReasons]string{
-	"unwired", "discard", "filter", "no_route", "overflow", "other",
+	"unwired", "discard", "filter", "no_route", "overflow",
 }
 
 // String returns the taxonomy name ("unwired", "filter", ...).
@@ -86,12 +82,12 @@ func (v Verdict) String() string {
 	return "drop:" + v.Reason().String()
 }
 
-// Settle turns the verdict of a Step whose packet found no wired edge
-// to follow into what a driver acts on and records, and names the
-// output port the element chose (-1 when it consumed the packet). Both
-// drivers share the rule: a port that leads nowhere, and a Tx with no
-// Transmit hook to take it (canTx false), drop the packet as unwired.
-func Settle(v Verdict, canTx bool) (out int, final Verdict) {
+// settle turns the verdict of a Step whose packet found no wired edge
+// to follow into what the walk acts on and records, and names the
+// output port the element chose (-1 when it consumed the packet): a
+// port that leads nowhere, and a Tx with no Transmit hook to take it
+// (canTx false), drop the packet as unwired.
+func settle(v Verdict, canTx bool) (out int, final Verdict) {
 	switch {
 	case v >= 0:
 		return int(v), Drop(DropUnwired)
@@ -104,8 +100,7 @@ func Settle(v Verdict, canTx bool) (out int, final Verdict) {
 // Waker is implemented by a holding element whose packets a pull-side
 // consumer drains through the graph walk (Queue feeding Unqueue): after
 // a Held verdict, Push calls Wake so the consumer runs at once, like
-// Click's task notifiers. The compiled pipeline rejects pull wiring, so
-// it never needs to.
+// Click's task notifiers.
 type Waker interface {
 	Wake(ctx *Context)
 }
@@ -140,7 +135,7 @@ func push(ctx *Context, el Element, b *Base, port int, p *packet.Packet) {
 				continue
 			}
 		}
-		out, v := Settle(v, ctx.Transmit != nil)
+		out, v := settle(v, ctx.Transmit != nil)
 		if ctx.PathHook != nil {
 			ctx.PathHook(b.name, port, out, v, p)
 		}
@@ -152,7 +147,7 @@ func push(ctx *Context, el Element, b *Base, port int, p *packet.Packet) {
 				w.Wake(ctx)
 			}
 		default:
-			ctx.Drop(p)
+			ctx.Drop(v.Reason(), p)
 		}
 		return
 	}

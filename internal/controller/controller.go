@@ -21,7 +21,6 @@ import (
 	"github.com/in-net/innet/internal/clicklang"
 	"github.com/in-net/innet/internal/journal"
 	"github.com/in-net/innet/internal/packet"
-	"github.com/in-net/innet/internal/pipeline"
 	"github.com/in-net/innet/internal/platform"
 	"github.com/in-net/innet/internal/policy"
 	"github.com/in-net/innet/internal/security"
@@ -156,12 +155,6 @@ type Deployment struct {
 	Config string
 	// Timings is the handling-latency breakdown.
 	Timings Timings
-	// PipelineCompiled reports whether the deployed config flattens
-	// into the compiled run-to-completion dataplane; when it does not,
-	// PipelineFallback carries the compiler's reason and the platform
-	// serves the module on the graph walk.
-	PipelineCompiled bool
-	PipelineFallback string
 
 	// status is atomic so HTTP handlers may read it while a failover
 	// mutates it. All other fields are immutable after placement:
@@ -179,9 +172,8 @@ type Deployment struct {
 }
 
 // seal derives what a placed deployment's immutable fields determine:
-// its dataplane mode and its cache digest.
+// its cache digest.
 func (d *Deployment) seal() {
-	d.classifyPipeline()
 	d.digest = hashKey("mod", d.ModuleName, d.Platform, strconv.FormatUint(uint64(d.Addr), 10), d.Config)
 }
 
@@ -226,28 +218,6 @@ func (d *Deployment) Stateful() bool {
 		}
 	}
 	return false
-}
-
-// classifyPipeline records whether the deployed router compiles into
-// the flattened pipeline, and if not, why (the admission-time
-// equivalent of the platform's lazy compile, so operators see the
-// dataplane mode before the first packet).
-func (d *Deployment) classifyPipeline() {
-	if _, err := pipeline.Compile(d.module.Router); err != nil {
-		d.PipelineCompiled = false
-		d.PipelineFallback = err.Error()
-		return
-	}
-	d.PipelineCompiled = true
-	d.PipelineFallback = ""
-}
-
-// Dataplane names the dataplane mode this deployment runs on.
-func (d *Deployment) Dataplane() string {
-	if d.PipelineCompiled {
-		return "pipeline"
-	}
-	return "graph-walk"
 }
 
 // PlatformSpec converts the deployment into the module spec the
@@ -1083,44 +1053,6 @@ func (c *Controller) Deployments() []*Deployment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// PipelineStats summarizes the dataplane mode across live
-// deployments: how many flatten into the compiled pipeline, how many
-// fall back to the graph walk, and the fallback reasons (reason ->
-// count).
-type PipelineStats struct {
-	Compiled int            `json:"compiled"`
-	Fallback int            `json:"fallback"`
-	Reasons  map[string]int `json:"reasons,omitempty"`
-	// Modules maps each live module name to its fallback reason; a
-	// compiled module maps to "".
-	Modules map[string]string `json:"modules,omitempty"`
-}
-
-// PipelineStatsSnapshot computes PipelineStats over the current
-// deployment set.
-func (c *Controller) PipelineStatsSnapshot() PipelineStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var st PipelineStats
-	for _, d := range c.deployments {
-		if st.Modules == nil {
-			st.Modules = make(map[string]string)
-		}
-		if d.PipelineCompiled {
-			st.Compiled++
-			st.Modules[d.ModuleName] = ""
-			continue
-		}
-		st.Fallback++
-		st.Modules[d.ModuleName] = d.PipelineFallback
-		if st.Reasons == nil {
-			st.Reasons = make(map[string]int)
-		}
-		st.Reasons[d.PipelineFallback]++
-	}
-	return st
 }
 
 // Get returns a deployment by ID.

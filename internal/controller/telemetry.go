@@ -83,12 +83,6 @@ func (c *Controller) AttachTelemetry(r *telemetry.Registry, tr *telemetry.Tracer
 	r.GaugeFunc("innet_controller_deployments",
 		"Deployments currently recorded (all statuses).",
 		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.deployments)) })
-	r.GaugeFunc("innet_pipeline_compiled_modules",
-		"Live deployments whose config flattens into the compiled pipeline.",
-		func() float64 { return float64(c.PipelineStatsSnapshot().Compiled) })
-	r.GaugeFunc("innet_pipeline_fallback_modules",
-		"Live deployments served by the graph-walk fallback.",
-		func() float64 { return float64(c.PipelineStatsSnapshot().Fallback) })
 
 	// The admission cache keeps its own thread-safe counters; bridge
 	// them as callbacks (c.cache is immutable after construction and

@@ -28,7 +28,7 @@ func testCtx() (*click.Context, *int64, *int) {
 	drops := new(int)
 	return &click.Context{
 		Now:      func() int64 { return *now },
-		DropHook: func(p *packet.Packet) { *drops++ },
+		DropHook: func(_ click.DropReason, p *packet.Packet) { *drops++ },
 	}, now, drops
 }
 
@@ -190,7 +190,7 @@ func TestDPIRuntimeAndSym(t *testing.T) {
 	configure(t, d2, "x")
 	wire(t, d2, 0)
 	_, _, drops := testCtx()
-	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { *drops++ }}
+	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(_ click.DropReason, p *packet.Packet) { *drops++ }}
 	p3 := udpPkt("1.1.1.1", "2.2.2.2", 1, 2)
 	p3.Payload = []byte("xx")
 	click.Push(ctx2, d2, 0, p3)
@@ -232,7 +232,7 @@ func TestIPRewriterForwardAndReverse(t *testing.T) {
 	// Unknown reply tuple drops.
 	stray := udpPkt("9.9.9.9", "8.8.8.8", 1, 2)
 	_, _, drops := testCtx()
-	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { *drops++ }}
+	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(_ click.DropReason, p *packet.Packet) { *drops++ }}
 	click.Push(ctx2, rw, 1, stray)
 	if *drops != 1 {
 		t.Error("stray reply should drop")

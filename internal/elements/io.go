@@ -6,8 +6,9 @@
 // Every element provides both a runtime implementation (Step) and a
 // symbolic model (Sym) so that the exact same configured instance is
 // used by the dataplane and by the controller's static checking. Step
-// is the class's only per-packet code: the graph walk (click.Push) and
-// the compiled pipeline (pipeline.Exec) both drive it. The few classes
+// is the class's only per-packet code, and the graph walk (click.Push)
+// is its only driver: pipeline.Exec runs every module through it. The
+// few classes
 // that also move packets outside Step — on a tick, a pull or a wake-up —
 // are listed with their reasons in outsideStep (step_test.go).
 package elements

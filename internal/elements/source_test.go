@@ -32,7 +32,7 @@ func TestTimedSourceEmits(t *testing.T) {
 	}
 	// A pushed packet is swallowed (sources have no inputs).
 	drops := 0
-	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
+	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(_ click.DropReason, p *packet.Packet) { drops++ }}
 	click.Push(ctx2, ts, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("pushed packet not dropped")
@@ -158,7 +158,7 @@ func TestRandomSample(t *testing.T) {
 	configure(t, rs0, "0")
 	wire(t, rs0, 0)
 	drops := 0
-	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
+	ctx2 := &click.Context{Now: func() int64 { return 0 }, DropHook: func(_ click.DropReason, p *packet.Packet) { drops++ }}
 	click.Push(ctx2, rs0, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("p=0 with unwired port 1 should drop")

@@ -86,7 +86,7 @@ func TestUnqueueGuards(t *testing.T) {
 	configure(t, u)
 	// Pushing into a pull input drops.
 	drops := 0
-	ctx := &click.Context{Now: func() int64 { return 0 }, DropHook: func(p *packet.Packet) { drops++ }}
+	ctx := &click.Context{Now: func() int64 { return 0 }, DropHook: func(_ click.DropReason, p *packet.Packet) { drops++ }}
 	click.Push(ctx, u, 0, udpPkt("1.1.1.1", "2.2.2.2", 1, 2))
 	if drops != 1 {
 		t.Error("push into pull input not dropped")

@@ -117,7 +117,7 @@ func runPipelineChaosGraph(t *testing.T, sched []chaosEvent) (map[uint32][]strin
 }
 
 // runPipelineChaosExec replays the same schedule in pipeline mode: the
-// switch's batch sink feeds one compiled Exec.
+// switch's batch sink feeds one Exec.
 func runPipelineChaosExec(t *testing.T, sched []chaosEvent) (map[uint32][]string, *elements.Counter) {
 	t.Helper()
 	prog, err := pipeline.CompileConfig(pipelineChaosChain)
@@ -145,7 +145,7 @@ func runPipelineChaosExec(t *testing.T, sched []chaosEvent) (map[uint32][]string
 			s.ProcessBatch(e.pkts)
 		}
 	}
-	return eg, prog.Router().Element("cnt").(*elements.Counter)
+	return eg, prog.Element("cnt").(*elements.Counter)
 }
 
 // TestChaosPipelineOutageReplay drives seeded outage schedules through

@@ -1,148 +1,133 @@
+// Package pipeline runs a module's packets: Exec is the per-module
+// driver the platform delivers to. It owns the click.Context that the
+// router's own graph walk (click.Push) runs on, so every packet, tick
+// and Tee copy goes through the one walk, and it counts what the walk
+// does: packets, batches, and drops by the reason the walk dropped
+// them for. Its path tracer arms the walk's PathHook for sampled flows.
+//
+// Every configuration click.Build accepts runs on an Exec: the sandbox
+// cycle through one ChangeEnforcer, pull wiring (Queue feeding
+// Unqueue, woken by the walk), arrival-order and random branching,
+// ticker-driven elements and self-scheduled sources.
 package pipeline
 
 import (
-	"fmt"
-
 	"github.com/in-net/innet/internal/click"
+	"github.com/in-net/innet/internal/clicklang"
+	_ "github.com/in-net/innet/internal/elements" // the classes CompileConfig builds
 	"github.com/in-net/innet/internal/packet"
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// Exec runs a Program: each packet is carried through the stage table
-// to its verdict before the next one starts, exactly the order of the
-// graph walk. It is single-worker state: one goroutine per Exec, like
-// packet.Pool. The hooks mirror click.Context; set them before the
-// first Run.
+// CompileConfig parses and builds a configuration source into the
+// router an Exec runs. The only errors are the parser's and
+// click.Build's.
+func CompileConfig(src string) (*click.Router, error) {
+	cfg, err := clicklang.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return click.Build(cfg)
+}
+
+// Exec runs a router: each packet is walked to its verdict before the
+// next one starts. It is single-worker state: one goroutine per Exec,
+// like packet.Pool. The hooks mirror click.Context; they may change
+// between calls (the platform sets Transmit per packet).
 type Exec struct {
-	prog *Program
-	env  click.Env     // the Exec itself, as elements see it in Step
-	ctx  click.Context // graph-walk context for ticker drains
+	router *click.Router
+	ctx    click.Context // the walk's context; its DropHook counts
 
 	// Now returns the current time in nanoseconds (virtual or wall).
-	// Stateful elements consult it per packet.
+	// Stateful elements consult it per packet; nil reads as 0.
 	Now func() int64
-	// Transmit receives packets leaving through ToNetfront stages;
-	// when nil they are dropped, as with a nil click.Context.Transmit.
+	// Transmit receives packets leaving through ToNetfront; when nil
+	// they are dropped as unwired, as with a nil click.Context.Transmit.
 	Transmit func(iface int, p *packet.Packet)
-	// DropHook, if non-nil, observes every dropped packet.
-	DropHook func(p *packet.Packet)
+	// DropHook, if non-nil, observes every dropped packet and why.
+	DropHook func(r click.DropReason, p *packet.Packet)
 	// Pool recycles dropped packets when non-nil.
 	Pool *packet.Pool
 
-	// Drops counts packets dropped by the program (unwired ports and
-	// element decisions); DropsBy splits the same total by taxonomy
-	// reason.
+	// Drops counts packets the walk dropped (unwired ports, element
+	// decisions, packets for a missing injection point, drops during
+	// ticks); DropsBy splits the same total by taxonomy reason.
 	Drops   uint64
 	DropsBy [click.NumDropReasons]uint64
-	// Packets and Batches count work pushed through Run.
+	// Packets and Batches count work pushed through Run and RunOne.
 	Packets uint64
 	Batches uint64
 
 	// Path-trace state (see trace.go). ptRing nil = tracing detached.
 	ptRing  *telemetry.PathRing
 	ptEvery int
+	ptHook  func(elem string, in, out int, v click.Verdict, p *packet.Packet)
+	ptPkt   *packet.Packet
 	ptHops  []telemetry.PathHop
 }
 
-// NewExec returns an execution context for prog.
-func NewExec(prog *Program) *Exec {
-	x := &Exec{prog: prog}
-	x.env = execEnv{x}
-	// The graph-walk context used for ticker drains forwards to the
-	// same hooks the compiled steps use, so both paths see identical
-	// time, egress and drop behavior.
-	x.ctx = click.Context{
-		Now:      x.now,
-		Transmit: x.transmit,
-		DropHook: func(pk *packet.Packet) { x.drop(pk, click.DropOther) },
-	}
+// NewExec returns an execution context for r. The Exec shares r's
+// element instances, so checkpoints of r see the state it mutates.
+func NewExec(r *click.Router) *Exec {
+	x := &Exec{router: r}
+	x.ctx.Now = x.now
+	x.ctx.DropHook = x.drop
 	return x
 }
 
-// Program returns the program this Exec runs.
-func (x *Exec) Program() *Program { return x.prog }
+// Router returns the router this Exec runs.
+func (x *Exec) Router() *click.Router { return x.router }
 
 // Run pushes a batch into the src'th injection point, running each
 // packet to completion in batch order. The input slice is not retained.
+// A packet for an injection point the router lacks is dropped as
+// unwired and the error returned.
 func (x *Exec) Run(src int, pkts []*packet.Packet) error {
-	if src < 0 || src >= len(x.prog.srcs) {
-		return x.badSource(src)
-	}
 	x.Packets += uint64(len(pkts))
 	x.Batches++
-	st := x.prog.srcs[src]
+	x.ctx.Transmit = x.Transmit
+	var err error
 	for i, pk := range pkts {
-		if i > 0 || x.ptRing == nil || !x.runSampled(st, pk) {
-			x.run(st, 0, pk, false)
-		}
+		err = x.inject(src, pk, i == 0)
 	}
-	return nil
+	return err
 }
 
 // RunOne is Run for a batch of one (the platform's per-packet delivery
 // path).
 func (x *Exec) RunOne(src int, pk *packet.Packet) error {
-	if src < 0 || src >= len(x.prog.srcs) {
-		return x.badSource(src)
-	}
 	x.Packets++
 	x.Batches++
-	if st := x.prog.srcs[src]; x.ptRing == nil || !x.runSampled(st, pk) {
-		x.run(st, 0, pk, false)
-	}
-	return nil
+	x.ctx.Transmit = x.Transmit
+	return x.inject(src, pk, true)
 }
 
-func (x *Exec) badSource(src int) error {
-	return fmt.Errorf("pipeline: no injection point %d (have %d)", src, len(x.prog.srcs))
-}
-
-// run is the executor: it steps pk from stage st (arriving on input
-// port in) along wired edges until an element consumes it or it falls
-// off an unwired port, then acts on that verdict. With trace set it
-// appends one hop per step to ptHops.
-func (x *Exec) run(st *stage, in int, pk *packet.Packet, trace bool) {
-	env := x.env
-	for {
-		v := st.el.Step(env, in, pk)
-		if port := uint(v); port < uint(len(st.next)) { // an output port, in range
-			if next := st.next[port]; next.st != nil {
-				if trace {
-					x.hop(st, in, int(v), v)
-				}
-				st, in = next.st, next.port
-				continue
-			}
+// inject walks one packet; a batch head whose flow is sampled is walked
+// with the hop recorder armed (see trace.go).
+func (x *Exec) inject(src int, pk *packet.Packet, head bool) error {
+	if head && x.ptRing != nil {
+		if h := AffinityHash(pk.Tuple()); telemetry.Sampled(h, x.ptEvery) {
+			return x.traced(h, src, pk)
 		}
-		out, v := click.Settle(v, x.Transmit != nil)
-		if trace {
-			x.hop(st, in, out, v)
-		}
-		switch {
-		case v.IsTx():
-			x.Transmit(v.Iface(), pk)
-		case v != click.Held:
-			x.drop(pk, v.Reason())
-		}
-		return
 	}
+	return x.router.Inject(&x.ctx, src, pk)
 }
 
 // Tick drives the router's schedulable elements (Queue, TimedUnqueue,
-// RatedUnqueue) through the ordinary graph walk, sharing the Exec's
-// hooks. The drained packets traverse the same element instances the
-// compiled stages mutate, so compiled and graph execution stay
-// coherent. Returns the smallest delay until the next due tick, or -1
-// when idle.
+// RatedUnqueue, Unqueue, TimedSource) once, through the same walk and
+// counters as Run. Returns the smallest delay until the next due tick,
+// or -1 when idle.
 func (x *Exec) Tick() int64 {
-	return x.prog.router.Tick(&x.ctx)
+	x.ctx.Transmit = x.Transmit
+	return x.router.Tick(&x.ctx)
 }
 
-func (x *Exec) drop(pk *packet.Packet, reason click.DropReason) {
+// drop is the walk's DropHook: count, observe, recycle.
+func (x *Exec) drop(r click.DropReason, pk *packet.Packet) {
 	x.Drops++
-	x.DropsBy[reason]++
+	x.DropsBy[r]++
 	if f := x.DropHook; f != nil {
-		f(pk)
+		f(r, pk)
 	}
 	if x.Pool != nil {
 		x.Pool.Put(pk)
@@ -154,32 +139,4 @@ func (x *Exec) now() int64 {
 		return f()
 	}
 	return 0
-}
-
-// transmit is the ticker-drain egress: the graph walk only calls it
-// with a non-nil Context.Transmit, so the nil-hook case is handled here.
-func (x *Exec) transmit(iface int, pk *packet.Packet) {
-	if f := x.Transmit; f != nil {
-		f(iface, pk)
-		return
-	}
-	x.drop(pk, click.DropUnwired)
-}
-
-// execEnv is the Exec as click.Env. (Exec cannot implement Env itself:
-// its Now hook is a field.)
-type execEnv struct{ x *Exec }
-
-func (e execEnv) Now() int64 { return e.x.now() }
-
-// Emit runs an extra copy from the stage wired to from's output port,
-// to completion, before the original continues — the graph walk's
-// depth-first order.
-func (e execEnv) Emit(from click.Element, port int, pk *packet.Packet) {
-	x := e.x
-	if st := x.prog.index[from]; port < len(st.next) && st.next[port].st != nil {
-		x.run(st.next[port].st, st.next[port].port, pk, false)
-		return
-	}
-	x.drop(pk, click.DropUnwired)
 }

@@ -1,8 +1,8 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -33,10 +33,12 @@ type step struct {
 }
 
 // outcome is everything a run lets an observer see: the egress log in
-// order, and the drop count per taxonomy reason.
+// order, the drop count per taxonomy reason, and how many injections
+// were refused (a packet for an injection point the router lacks).
 type outcome struct {
-	log   []egress
-	drops [click.NumDropReasons]uint64
+	log     []egress
+	drops   [click.NumDropReasons]uint64
+	refused int
 }
 
 func clones(pkts []*packet.Packet) []*packet.Packet {
@@ -47,58 +49,49 @@ func clones(pkts []*packet.Packet) []*packet.Packet {
 	return out
 }
 
-// runGraph replays steps through per-packet graph-walk dispatch.
+// runGraph replays steps through Router.Inject and Router.Tick on a
+// counting Context: the reference an Exec must equal.
 func runGraph(t *testing.T, r *click.Router, steps []step) outcome {
 	t.Helper()
 	var o outcome
 	var now int64
-	ticking := false
 	ctx := &click.Context{
 		Now: func() int64 { return now },
 		Transmit: func(iface int, pk *packet.Packet) {
 			o.log = append(o.log, egress{iface, snapPacket(pk)})
 		},
-		DropHook: func(pk *packet.Packet) {
+		DropHook: func(r click.DropReason, pk *packet.Packet) {
 			o.log = append(o.log, egress{-1, snapPacket(pk)})
-		},
-		PathHook: func(_ string, _, _ int, v click.Verdict, _ *packet.Packet) {
-			switch {
-			case v >= 0 || v == click.Held || v.IsTx():
-			case ticking:
-				// Exec.Tick drains through a Context whose Drop carries
-				// no reason; it books these as "other".
-				o.drops[click.DropOther]++
-			default:
-				o.drops[v.Reason()]++
-			}
+			o.drops[r]++
 		},
 	}
 	for _, s := range steps {
 		now = s.now
-		if ticking = s.tick; ticking {
+		if s.tick {
 			r.Tick(ctx)
 			continue
 		}
 		for _, pk := range clones(s.pkts) {
-			if err := r.Inject(ctx, s.src, pk); err != nil {
-				t.Fatalf("inject: %v", err)
+			if r.Inject(ctx, s.src, pk) != nil {
+				o.refused++
 			}
 		}
 	}
 	return o
 }
 
-// runCompiled replays steps through a compiled Exec.
-func runCompiled(t *testing.T, prog *Program, steps []step) outcome {
+// runExec replays steps through an Exec, reading drops from its
+// counters.
+func runExec(t *testing.T, r *click.Router, steps []step) outcome {
 	t.Helper()
 	var o outcome
 	var now int64
-	x := NewExec(prog)
+	x := NewExec(r)
 	x.Now = func() int64 { return now }
 	x.Transmit = func(iface int, pk *packet.Packet) {
 		o.log = append(o.log, egress{iface, snapPacket(pk)})
 	}
-	x.DropHook = func(pk *packet.Packet) {
+	x.DropHook = func(_ click.DropReason, pk *packet.Packet) {
 		o.log = append(o.log, egress{-1, snapPacket(pk)})
 	}
 	for _, s := range steps {
@@ -107,8 +100,8 @@ func runCompiled(t *testing.T, prog *Program, steps []step) outcome {
 			x.Tick()
 			continue
 		}
-		if err := x.Run(s.src, clones(s.pkts)); err != nil {
-			t.Fatalf("run: %v", err)
+		if x.Run(s.src, clones(s.pkts)) != nil {
+			o.refused += len(s.pkts)
 		}
 	}
 	o.drops = x.DropsBy
@@ -122,30 +115,33 @@ func runCompiled(t *testing.T, prog *Program, steps []step) outcome {
 	return o
 }
 
-// diffOutcomes demands the pipeline's ordering guarantee: identical to
-// the graph walk. Every transmission and drop happens in the same
-// global order, on the same interface, with identical bytes, and each
-// drop is booked under the same reason.
-func diffOutcomes(t *testing.T, graph, compiled outcome) {
+// diffOutcomes demands the Exec's ordering guarantee: identical to the
+// bare walk. Every transmission and drop happens in the same global
+// order, on the same interface, with identical bytes, and each drop is
+// booked under the same reason.
+func diffOutcomes(t *testing.T, graph, exec outcome) {
 	t.Helper()
-	if len(graph.log) != len(compiled.log) {
-		t.Fatalf("egress count: graph=%d compiled=%d", len(graph.log), len(compiled.log))
+	if len(graph.log) != len(exec.log) {
+		t.Fatalf("egress count: graph=%d exec=%d", len(graph.log), len(exec.log))
 	}
 	for i := range graph.log {
-		if graph.log[i] != compiled.log[i] {
-			t.Fatalf("egress[%d]:\n graph:    %+v\n compiled: %+v", i, graph.log[i], compiled.log[i])
+		if graph.log[i] != exec.log[i] {
+			t.Fatalf("egress[%d]:\n graph: %+v\n exec:  %+v", i, graph.log[i], exec.log[i])
 		}
 	}
-	if graph.drops != compiled.drops {
-		t.Fatalf("drops by reason %v: graph=%v compiled=%v", click.DropReasonNames(), graph.drops, compiled.drops)
+	if graph.drops != exec.drops {
+		t.Fatalf("drops by reason %v: graph=%v exec=%v", click.DropReasonNames(), graph.drops, exec.drops)
+	}
+	if graph.refused != exec.refused {
+		t.Fatalf("refused injections: graph=%d exec=%d", graph.refused, exec.refused)
 	}
 }
 
 // diffCounters compares every exported counter (unsigned integer fields
 // and slices of them) of every element pair.
-func diffCounters(t *testing.T, graph, compiled *click.Router) {
+func diffCounters(t *testing.T, graph, exec *click.Router) {
 	t.Helper()
-	ce := compiled.Elements()
+	ce := exec.Elements()
 	for i, ge := range graph.Elements() {
 		gv, cv := reflect.ValueOf(ge).Elem(), reflect.ValueOf(ce[i]).Elem()
 		for f := 0; f < gv.NumField(); f++ {
@@ -158,30 +154,31 @@ func diffCounters(t *testing.T, graph, compiled *click.Router) {
 				continue
 			}
 			if g, c := gv.Field(f).Interface(), cv.Field(f).Interface(); !reflect.DeepEqual(g, c) {
-				t.Errorf("%s.%s: graph=%v compiled=%v", ge.Name(), sf.Name, g, c)
+				t.Errorf("%s.%s: graph=%v exec=%v", ge.Name(), sf.Name, g, c)
 			}
 		}
 	}
 }
 
 // differential builds the config twice (independent element state per
-// mode), runs both modes over the same steps and compares.
-func differential(t *testing.T, src string, steps []step) (*click.Router, *click.Router) {
+// run), replays the same steps through a counting Context and through
+// an Exec, and compares. It returns both routers and the Exec's
+// outcome.
+func differential(t *testing.T, src string, steps []step) (*click.Router, *click.Router, outcome) {
 	t.Helper()
 	gr := click.MustBuildString(src)
-	pr := click.MustBuildString(src)
-	prog, err := Compile(pr)
+	xr, err := CompileConfig(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	g := runGraph(t, gr, steps)
-	c := runCompiled(t, prog, steps)
+	x := runExec(t, xr, steps)
 	if len(g.log) == 0 {
 		t.Fatalf("differential test saw no egress at all")
 	}
-	diffOutcomes(t, g, c)
-	diffCounters(t, gr, pr)
-	return gr, pr
+	diffOutcomes(t, g, x)
+	diffCounters(t, gr, xr)
+	return gr, xr, x
 }
 
 // mkPacket builds a deterministic test packet for flow f, index i.
@@ -222,7 +219,7 @@ in -> chk -> cnt -> ttl -> out;
 	exp := mkPacket(98, 0)
 	exp.TTL = 1 // DecIPTTL expiry drop
 	steps := []step{{src: 0, pkts: append(flowBatch(8, 16), bad, exp), now: 1000}}
-	gr, _ := differential(t, src, steps)
+	gr, _, _ := differential(t, src, steps)
 	// diffCounters compared every counter; make sure the interesting
 	// ones actually moved.
 	if gr.Element("cnt").(*elements.Counter).Packets == 0 ||
@@ -232,16 +229,15 @@ in -> chk -> cnt -> ttl -> out;
 	}
 }
 
-// The shapes the stage-wise executor used to special-case: two branches
-// diverting into one shared Discard, and a join where both outputs of
-// one element feed the same successor.
+// Two branches diverting into one shared Discard, and a join where
+// both outputs of one element feed the same successor.
 func TestDifferentialSharedSinkAndJoin(t *testing.T) {
 	bad := mkPacket(99, 0)
 	bad.TTL = 0
 	exp := mkPacket(98, 0)
 	exp.TTL = 1
 	steps := []step{{src: 0, pkts: append(flowBatch(4, 4), bad, exp), now: 7}}
-	gr, _ := differential(t, `
+	gr, _, _ := differential(t, `
 in :: FromNetfront();
 chk :: CheckIPHeader;
 pnt :: Paint(7);
@@ -365,11 +361,11 @@ fw[1] -> back;
 		// expire state identically in both modes.
 		{src: 0, pkts: mixed, now: 8_000_000_000},
 	}
-	gr, cr := differential(t, src, steps)
+	gr, cr, _ := differential(t, src, steps)
 	gf := gr.Element("fw").(interface{ ActiveFlows() int }).ActiveFlows()
 	cf := cr.Element("fw").(interface{ ActiveFlows() int }).ActiveFlows()
 	if gf != cf {
-		t.Errorf("firewall flows: graph=%d compiled=%d", gf, cf)
+		t.Errorf("firewall flows: graph=%d exec=%d", gf, cf)
 	}
 }
 
@@ -459,7 +455,7 @@ in -> q -> out;
 		{src: 0, pkts: flowBatch(1, 1), now: 30},
 		{tick: true, now: 40},
 	}
-	gr, cr := differential(t, src, steps)
+	gr, cr, _ := differential(t, src, steps)
 	for _, r := range []*click.Router{gr, cr} {
 		if n := r.Element("q").(interface{ Len() int }).Len(); n != 0 {
 			t.Errorf("queue not drained: %d", n)
@@ -556,98 +552,148 @@ ce[1] -> toWorld;
 	differential(t, src, steps)
 }
 
+// sandboxConfig is a module as controller.SandboxConfig wraps it: the
+// one ChangeEnforcer is crossed twice, in-port 0 on the way in and
+// in-port 1 on the way out, which is a cycle between elements.
+const sandboxConfig = `in :: FromNetfront();
+f :: IPFilter(allow udp, allow tcp);
+mir :: IPMirror();
+out :: ToNetfront();
+__sandbox :: ChangeEnforcer(whitelist 8.8.8.8);
+in[0] -> [0]__sandbox;
+__sandbox[0] -> [0]f;
+f[0] -> [0]mir;
+mir[0] -> [1]__sandbox;
+__sandbox[1] -> [0]out;
+`
+
+// seededStream is a packet stream of UDP, TCP and ICMP packets over a
+// few flows, with some expired TTLs, drawn from seed.
+func seededStream(seed int64, n int) []*packet.Packet {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*packet.Packet, n)
+	for i := range out {
+		pk := mkPacket(uint32(1+rng.Intn(6)), i)
+		switch rng.Intn(6) {
+		case 0:
+			pk.Protocol = packet.ProtoTCP
+		case 1:
+			pk.Protocol = packet.ProtoICMP
+		case 2:
+			pk.TTL = 1
+		}
+		out[i] = pk
+	}
+	return out
+}
+
+// TestCompileFallbacks runs the shapes the compiler used to refuse,
+// and the platform used to serve on a separate fallback driver, on an
+// Exec: over a seeded stream each one's transmissions and per-reason
+// drops equal the bare walk's, and each does what the shape is for.
 func TestCompileFallbacks(t *testing.T) {
+	// Packets in bursts of 8 at advancing times, a tick after each.
+	stream := func(ticks bool) []step {
+		var steps []step
+		pkts := seededStream(42, 40)
+		for i, now := 0, int64(1_000_000); i < len(pkts); i, now = i+8, now+300_000_000 {
+			steps = append(steps, step{pkts: pkts[i : i+8], now: now})
+			if ticks {
+				steps = append(steps, step{tick: true, now: now + 250_000_000})
+			}
+		}
+		return steps
+	}
 	cases := []struct {
-		name string
-		src  string
+		name  string
+		src   string
+		ticks bool
+		check func(t *testing.T, x outcome)
 	}{
-		{"round-robin", `in :: FromNetfront(); rr :: RoundRobinSwitch(2); a :: ToNetfront(0); b :: ToNetfront(1); in -> rr; rr[0] -> a; rr[1] -> b;`},
-		{"random-sample", `in :: FromNetfront(); rs :: RandomSample(0.5); a :: ToNetfront(); in -> rs; rs[0] -> a;`},
-		{"timed-source", `ts :: TimedSource(1); in :: FromNetfront(); out :: ToNetfront(); ts -> out; in -> out;`},
-		{"pull-wiring", `in :: FromNetfront(); q :: Queue(10); uq :: Unqueue(); out :: ToNetfront(); in -> q -> uq -> out;`},
+		{"round-robin", `in :: FromNetfront(); rr :: RoundRobinSwitch(2); a :: ToNetfront(0); b :: ToNetfront(1); in -> rr; rr[0] -> a; rr[1] -> b;`, false,
+			func(t *testing.T, x outcome) {
+				for i, e := range x.log {
+					if e.iface != i%2 {
+						t.Fatalf("egress %d on interface %d: not alternating", i, e.iface)
+					}
+				}
+			}},
+		{"random-sample", `in :: FromNetfront(); rs :: RandomSample(0.5); a :: ToNetfront(); in -> rs; rs[0] -> a;`, false,
+			func(t *testing.T, x outcome) {
+				if x.drops[click.DropUnwired] == 0 {
+					t.Fatal("no packet took the unwired unsampled port")
+				}
+			}},
+		{"timed-source", `ts :: TimedSource(0.5); in :: FromNetfront(); out :: ToNetfront(); ts -> out; in -> out;`, true,
+			func(t *testing.T, x outcome) {
+				if len(x.log) <= 40 {
+					t.Fatalf("%d egresses: the source emitted nothing beside the 40 forwarded", len(x.log))
+				}
+			}},
+		{"pull-wiring", `in :: FromNetfront(); q :: Queue(4); uq :: Unqueue(); out :: ToNetfront(); in -> q -> uq -> out;`, false,
+			func(t *testing.T, x outcome) {
+				// No tick runs: every packet leaves because the walk wakes
+				// the Unqueue after the Queue holds it.
+				if len(x.log) != 40 || x.drops != [click.NumDropReasons]uint64{} {
+					t.Fatalf("%d of 40 packets left, drops %v", len(x.log), x.drops)
+				}
+			}},
+		{"sandbox-cycle", sandboxConfig, false,
+			func(t *testing.T, x outcome) {
+				if x.drops[click.DropFilter] == 0 {
+					t.Fatal("no ICMP packet was filtered")
+				}
+			}},
+		{"no-source", `ts :: TimedSource(0.5); out :: ToNetfront(); ts -> out;`, true,
+			func(t *testing.T, x outcome) {
+				if x.refused != 40 || x.drops[click.DropUnwired] != 40 {
+					t.Fatalf("refused %d, unwired drops %d: want all 40 delivered packets", x.refused, x.drops[click.DropUnwired])
+				}
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := CompileConfig(tc.src)
-			if err == nil {
-				t.Fatalf("expected compile failure")
-			}
-			if !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("expected ErrUnsupported, got %v", err)
-			}
-			var ue *UnsupportedError
-			if !errors.As(err, &ue) {
-				t.Fatalf("expected UnsupportedError, got %T", err)
-			}
+			_, _, x := differential(t, tc.src, stream(tc.ticks))
+			tc.check(t, x)
 		})
 	}
 }
 
-func TestCompileRejectsCycle(t *testing.T) {
-	src := `
-in :: FromNetfront();
-a :: Counter();
-b :: Counter();
-out :: ToNetfront();
-in -> a;
-a -> b;
-b -> [0]a;
-`
-	// Wiring a into b and b back into a is a cycle; a's input port 0
-	// has two upstreams which click allows, the loop does not break
-	// at build time.
-	_, err := CompileConfig(src)
-	if err == nil || !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("expected cycle rejection, got %v", err)
-	}
-}
-
-func TestCompileStageOrderAndIntrospection(t *testing.T) {
-	prog, err := CompileConfig(`in :: FromNetfront(); c :: Counter(); out :: ToNetfront(); in -> c -> out;`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.NumStages() != 3 || prog.NumSources() != 1 {
-		t.Fatalf("stages=%d sources=%d", prog.NumStages(), prog.NumSources())
-	}
-	want := []string{"in :: FromNetfront", "c :: Counter", "out :: ToNetfront"}
-	got := prog.Stages()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("stage %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 func TestExecDropsCountAndPool(t *testing.T) {
-	prog, err := CompileConfig(`in :: FromNetfront(); d :: Discard(); in -> d;`)
+	r, err := CompileConfig(`in :: FromNetfront(); d :: Discard(); in -> d;`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := NewExec(prog)
+	x := NewExec(r)
 	pool := packet.NewPool(4, 64)
 	x.Pool = pool
-	pk := pool.Get()
-	if err := x.RunOne(0, pk); err != nil {
+	if err := x.RunOne(0, pool.Get()); err != nil {
 		t.Fatal(err)
 	}
-	if x.Drops != 1 {
-		t.Fatalf("drops = %d", x.Drops)
+	if x.Drops != 1 || x.DropsBy[click.DropDiscard] != 1 {
+		t.Fatalf("drops = %d %v, want one discard", x.Drops, x.DropsBy)
 	}
 	if _, puts, _ := pool.Stats(); puts != 1 {
 		t.Fatalf("pool puts = %d", puts)
 	}
-	if err := x.Run(5, nil); err == nil {
+	// A packet for an injection point the module lacks is refused,
+	// counted as unwired and recycled.
+	if err := x.Run(5, []*packet.Packet{pool.Get()}); err == nil {
 		t.Fatal("expected bad source error")
+	}
+	if x.Drops != 2 || x.DropsBy[click.DropUnwired] != 1 || x.Packets != 2 {
+		t.Fatalf("after a bad source: drops = %d %v, packets = %d", x.Drops, x.DropsBy, x.Packets)
+	}
+	if _, puts, _ := pool.Stats(); puts != 2 {
+		t.Fatalf("pool puts = %d", puts)
 	}
 }
 
 // TestRunOneDoesNotAllocate pins the steady-state cost of the module
 // families benchmark/gen_pkt.go generates: once a flow's state exists,
-// a packet allocates nothing. The benchmark's sandbox module wraps its
-// inner graph in one ChangeEnforcer, which is a cycle and stays on the
-// graph walk; here the enforcer is wired acyclically, as
-// TestDifferentialChangeEnforcer does.
+// a packet allocates nothing. "sandbox" wires the enforcer acyclically,
+// as TestDifferentialChangeEnforcer does; "sandbox-cycle" is the
+// controller's wrapper.
 func TestRunOneDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct{ name, src string }{
 		{"forward", `in :: FromNetfront();
@@ -679,19 +725,27 @@ in -> [0]ce;
 ret -> [1]ce;
 ce[0] -> toMod;
 ce[1] -> toWorld;`},
+		{"sandbox-cycle", sandboxConfig},
+		{"round-robin", `in :: FromNetfront();
+rr :: RoundRobinSwitch(2);
+o0 :: ToNetfront(0);
+o1 :: ToNetfront(1);
+in -> rr;
+rr[0] -> o0;
+rr[1] -> o1;`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			prog, err := CompileConfig(tc.src)
+			r, err := CompileConfig(tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := NewExec(prog)
+			x := NewExec(r)
 			x.Now = func() int64 { return 1 }
 			x.Transmit = func(int, *packet.Packet) {}
 			tmpl := mkPacket(1, 0)
 			tmpl.DstPort = 80
 			var pk packet.Packet
-			srcs := prog.NumSources()
+			srcs := r.NumSources()
 			i := 0
 			run := func() {
 				pk = *tmpl

@@ -12,8 +12,9 @@ import (
 // The stateful-schedule property: a random two-source schedule of
 // forward and reply packets through a stateful firewall and a flow
 // meter, with time advancing past the firewall timeout often enough to
-// exercise expiry, leaves the compiled pipeline's egress, drops and
-// per-flow element state exactly as the graph walk leaves them.
+// exercise expiry, leaves an Exec's egress, drop counters and per-flow
+// element state exactly as the bare walk on a counting Context leaves
+// them.
 
 const quickConfig = `
 a :: FromNetfront(0);
@@ -77,7 +78,7 @@ func genSchedule(seed int64) []step {
 func TestQuickStatefulScheduleDifferential(t *testing.T) {
 	prop := func(seed int64) bool {
 		steps := genSchedule(seed)
-		gr, cr := differential(t, quickConfig, steps)
+		gr, cr, _ := differential(t, quickConfig, steps)
 		gfw, cfw := gr.Element("fw").(*elements.StatefulFirewall), cr.Element("fw").(*elements.StatefulFirewall)
 		gfm, cfm := gr.Element("fm").(*elements.FlowMeter), cr.Element("fm").(*elements.FlowMeter)
 		for _, s := range steps {
@@ -88,18 +89,18 @@ func TestQuickStatefulScheduleDifferential(t *testing.T) {
 			gls, gok := gfw.LastSeen(tup)
 			cls, cok := cfw.LastSeen(tup)
 			if gok != cok || gls != cls {
-				t.Logf("seed=%d flow=%v firewall last-seen: graph=(%d,%v) compiled=(%d,%v)", seed, tup, gls, gok, cls, cok)
+				t.Logf("seed=%d flow=%v firewall last-seen: graph=(%d,%v) exec=(%d,%v)", seed, tup, gls, gok, cls, cok)
 				return false
 			}
 			gp, gb, gok := gfm.Stats(tup)
 			cp, cb, cok := cfm.Stats(tup)
 			if gok != cok || gp != cp || gb != cb {
-				t.Logf("seed=%d flow=%v meter: graph=(%d,%d,%v) compiled=(%d,%d,%v)", seed, tup, gp, gb, gok, cp, cb, cok)
+				t.Logf("seed=%d flow=%v meter: graph=(%d,%d,%v) exec=(%d,%d,%v)", seed, tup, gp, gb, gok, cp, cb, cok)
 				return false
 			}
 		}
 		if gfw.ActiveFlows() != cfw.ActiveFlows() || gfm.Flows() != cfm.Flows() {
-			t.Logf("seed=%d totals: graph active=%d metered=%d compiled active=%d metered=%d",
+			t.Logf("seed=%d totals: graph active=%d metered=%d exec active=%d metered=%d",
 				seed, gfw.ActiveFlows(), gfm.Flows(), cfw.ActiveFlows(), cfm.Flows())
 			return false
 		}

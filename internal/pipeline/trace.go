@@ -26,8 +26,8 @@ func AffinityHash(t packet.FiveTuple) uint64 {
 
 // EnablePathTrace arms flow-sampled path tracing: the head packet of
 // each injected batch is hashed with AffinityHash, and a packet whose
-// flow lands on the 1-in-every residue is run with hop recording — the
-// same executor, appending one PathHop per step — into ring. every <= 0
+// flow lands on the 1-in-every residue is walked with the Context's
+// PathHook recording one PathHop per step into ring. every <= 0
 // selects telemetry.DefaultTraceEvery. Call before the first Run; the
 // Exec's owner goroutine must not be running it concurrently.
 //
@@ -42,29 +42,30 @@ func (x *Exec) EnablePathTrace(ring *telemetry.PathRing, every int) {
 		every = telemetry.DefaultTraceEvery
 	}
 	x.ptEvery = every
+	x.ptHook = x.hop
 }
 
-// runSampled applies the sampling rule to a batch-head packet: if its
-// flow is sampled it runs the packet with hop recording, commits the
-// trace and returns true; otherwise it leaves the packet to the caller.
-func (x *Exec) runSampled(st *stage, pk *packet.Packet) bool {
-	hash := AffinityHash(pk.Tuple())
-	if !telemetry.Sampled(hash, x.ptEvery) {
-		return false
-	}
-	x.ptHops = x.ptHops[:0]
-	x.run(st, 0, pk, true)
+// traced walks a sampled packet with the hop recorder armed and
+// commits its trace under the flow's hash.
+func (x *Exec) traced(hash uint64, src int, pk *packet.Packet) error {
+	x.ptPkt, x.ptHops = pk, x.ptHops[:0]
+	x.ctx.PathHook = x.ptHook
+	err := x.router.Inject(&x.ctx, src, pk)
+	x.ctx.PathHook, x.ptPkt = nil, nil
 	x.ptRing.Put(telemetry.PathTrace{
-		FlowHash:  hash,
-		Dataplane: "pipeline",
-		Hops:      append([]telemetry.PathHop(nil), x.ptHops...),
+		FlowHash: hash,
+		Hops:     append([]telemetry.PathHop(nil), x.ptHops...),
 	})
-	return true
+	return err
 }
 
-// hop records one step of the traced packet.
-func (x *Exec) hop(st *stage, in, out int, v click.Verdict) {
+// hop records one step of the traced packet; Tee copies walking
+// beside it are not part of its path.
+func (x *Exec) hop(elem string, in, out int, v click.Verdict, pk *packet.Packet) {
+	if pk != x.ptPkt {
+		return
+	}
 	x.ptHops = append(x.ptHops, telemetry.PathHop{
-		Elem: st.name, InPort: in, OutPort: out, Verdict: v.String(),
+		Elem: elem, InPort: in, OutPort: out, Verdict: v.String(),
 	})
 }

@@ -9,15 +9,15 @@ import (
 	"github.com/in-net/innet/internal/telemetry"
 )
 
-// compileString compiles a config, failing the test on error.
+// compileString builds a config into an Exec, failing the test on
+// error.
 func compileString(t *testing.T, src string) *Exec {
 	t.Helper()
-	r := click.MustBuildString(src)
-	prog, err := Compile(r)
+	r, err := CompileConfig(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	return NewExec(prog)
+	return NewExec(r)
 }
 
 func TestPathTraceLinearChain(t *testing.T) {
@@ -42,7 +42,7 @@ in -> chk -> cnt -> ttl -> out;
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
 	tr := traces[0]
-	if tr.Dataplane != "pipeline" || tr.FlowHash == 0 {
+	if tr.FlowHash == 0 {
 		t.Fatalf("trace header wrong: %+v", tr)
 	}
 	wantElems := []string{"in", "chk", "cnt", "ttl", "out"}

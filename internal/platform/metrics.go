@@ -67,18 +67,19 @@ func (p *Platform) RegisterMetrics(r *telemetry.Registry, name string, lock sync
 			"Packets dropped by the platform datapath, by reason.",
 			read(func() float64 { return float64(*v) }), "platform", name, "reason", d.reason)
 	}
-	// Compiled-pipeline work on this platform's simulated dataplane.
+	// Work of the modules' pipeline.Execs on this platform's simulated
+	// dataplane.
 	// Labeled by platform; sums stay monotonic across VM destroys.
 	pipeCounters := []struct {
 		suffix string
 		help   string
 		pick   func(pk, ba, dr uint64) uint64
 	}{
-		{"packets", "Packets run to completion by compiled pipelines.",
+		{"packets", "Packets run to completion by module pipelines.",
 			func(pk, _, _ uint64) uint64 { return pk }},
-		{"batches", "Batches run to completion by compiled pipelines.",
+		{"batches", "Batches run to completion by module pipelines.",
 			func(_, ba, _ uint64) uint64 { return ba }},
-		{"drops", "Packets dropped inside compiled pipeline programs.",
+		{"drops", "Packets dropped inside module pipelines.",
 			func(_, _, dr uint64) uint64 { return dr }},
 	}
 	for _, c := range pipeCounters {

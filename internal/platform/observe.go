@@ -67,32 +67,13 @@ func (p *Platform) PathTraces(addr uint32, n int) []telemetry.PathTrace {
 	return nil
 }
 
-// injectTraced runs one sampled packet through the graph-walk
-// dataplane with the per-step observer armed, then records the
-// assembled trace: one hop per element Step, carrying the verdict the
-// walk acted on.
-func (p *Platform) injectTraced(r *click.Router, base *click.Context, pkt *packet.Packet, ring *telemetry.PathRing, hash uint64) {
-	var hops []telemetry.PathHop
-	ctx := *base
-	ctx.PathHook = func(elem string, inPort, outPort int, v click.Verdict, pk *packet.Packet) {
-		if pk != pkt {
-			return // a Tee clone
-		}
-		hops = append(hops, telemetry.PathHop{
-			Elem: elem, InPort: inPort, OutPort: outPort, Verdict: v.String(),
-		})
-	}
-	_ = r.Inject(&ctx, 0, pkt)
-	ring.Put(telemetry.PathTrace{FlowHash: hash, Dataplane: "graph", Hops: hops})
-}
-
-// PipelineDrops sums the per-reason drop counters of every compiled
-// program on the platform (live plus retired), indexed by
+// PipelineDrops sums the per-reason drop counters of every module's
+// Exec on the platform (live plus retired), indexed by
 // click.DropReason; monotonic like PipelineCounters.
 func (p *Platform) PipelineDrops() [click.NumDropReasons]uint64 {
 	out := p.pipelineRetiredBy
 	for _, vm := range p.vms {
-		for _, x := range vm.progs {
+		for _, x := range vm.execs {
 			for i, n := range x.DropsBy {
 				out[i] += n
 			}
@@ -103,8 +84,8 @@ func (p *Platform) PipelineDrops() [click.NumDropReasons]uint64 {
 
 // RegisterDrops wires the platform's drop counters into the unified
 // drop-attribution hub: datapath drops under site "platform" (same
-// reason names as innet_platform_dropped_total) and compiled-program
-// drops under site "pipeline" split by click.DropReason. Reads
+// reason names as innet_platform_dropped_total) and drops inside
+// modules under site "pipeline" split by click.DropReason. Reads
 // happen at scrape time under the supplied lock (nil when the caller
 // guarantees exclusion). Multiple platforms may register; the hub sums
 // them into one series per (site, reason).

@@ -8,6 +8,7 @@ import (
 	_ "github.com/in-net/innet/internal/elements"
 	"github.com/in-net/innet/internal/netsim"
 	"github.com/in-net/innet/internal/packet"
+	"github.com/in-net/innet/internal/pipeline"
 	"github.com/in-net/innet/internal/telemetry"
 )
 
@@ -31,10 +32,11 @@ cls[1] -> out1;
 cls[2] -> tu -> out0;
 `
 
-// TestPathTraceParity samples every flow (TraceEvery=1) through both
-// dataplanes of the same config and packets: the two must record the
-// same hops — element, ports and the verdict with the element's real
-// drop reason — and differ only in the dataplane tag.
+// TestPathTraceParity samples every flow (TraceEvery=1) on the
+// platform and walks the same packets through a freshly built router
+// with the Context's PathHook armed: the platform's traces must record
+// exactly the hops the walk reports — element, ports and the verdict
+// with the element's real drop reason — under the flow's hash.
 func TestPathTraceParity(t *testing.T) {
 	const dst = "198.51.100.77"
 	mk := func(mut func(*packet.Packet)) *packet.Packet {
@@ -42,51 +44,54 @@ func TestPathTraceParity(t *testing.T) {
 		mut(pk)
 		return pk
 	}
-	pkts := func() []*packet.Packet {
-		return []*packet.Packet{
-			mk(func(pk *packet.Packet) { pk.DstPort = 53 }),                // ttl -> tx:0
-			mk(func(pk *packet.Packet) { pk.DstPort = 80 }),                // tx:1
-			mk(func(pk *packet.Packet) { pk.DstPort = 53; pk.TTL = 1 }),    // ttl[1]: drop:unwired
-			mk(func(pk *packet.Packet) { pk.TTL = 0 }),                     // chk[1] -> d: drop:discard
-			mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoTCP }),  // drop:filter
-			mk(func(pk *packet.Packet) { pk.DstPort = 9 }),                 // drop:no_route
-			mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoICMP }), // queued
-		}
+	pkts := []*packet.Packet{
+		mk(func(pk *packet.Packet) { pk.DstPort = 53 }),                // ttl -> tx:0
+		mk(func(pk *packet.Packet) { pk.DstPort = 80 }),                // tx:1
+		mk(func(pk *packet.Packet) { pk.DstPort = 53; pk.TTL = 1 }),    // ttl[1]: drop:unwired
+		mk(func(pk *packet.Packet) { pk.TTL = 0 }),                     // chk[1] -> d: drop:discard
+		mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoTCP }),  // drop:filter
+		mk(func(pk *packet.Packet) { pk.DstPort = 9 }),                 // drop:no_route
+		mk(func(pk *packet.Packet) { pk.Protocol = packet.ProtoICMP }), // queued
 	}
 	wantLast := []string{"tx:0", "tx:1", "drop:unwired", "drop:discard", "drop:filter", "drop:no_route", "queued"}
 
-	run := func(noPipeline bool) []telemetry.PathTrace {
-		sim := netsim.New(1)
-		p := newPlatform(sim)
-		p.TraceEvery = 1
-		addr := packet.MustParseIP(dst)
-		if err := p.Register(ModuleSpec{Addr: addr, Config: parityConfig, NoPipeline: noPipeline}); err != nil {
+	sim := netsim.New(1)
+	p := newPlatform(sim)
+	p.TraceEvery = 1
+	addr := packet.MustParseIP(dst)
+	if err := p.Register(ModuleSpec{Addr: addr, Config: parityConfig}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range pkts {
+		p.Deliver(pk.Clone(), func(int, *packet.Packet) {})
+		sim.Run()
+	}
+	traces := p.PathTraces(addr, 0)
+	if len(traces) != len(wantLast) {
+		t.Fatalf("got %d traces, want %d", len(traces), len(wantLast))
+	}
+
+	r := click.MustBuildString(parityConfig)
+	var hops []telemetry.PathHop
+	ctx := &click.Context{
+		Now:      func() int64 { return 0 },
+		Transmit: func(int, *packet.Packet) {},
+		PathHook: func(elem string, in, out int, v click.Verdict, _ *packet.Packet) {
+			hops = append(hops, telemetry.PathHop{Elem: elem, InPort: in, OutPort: out, Verdict: v.String()})
+		},
+	}
+	for i, pk := range pkts {
+		hops = nil
+		if err := r.Inject(ctx, 0, pk.Clone()); err != nil {
 			t.Fatal(err)
 		}
-		for _, pk := range pkts() {
-			p.Deliver(pk, func(int, *packet.Packet) {})
-			sim.Run()
+		got := traces[len(traces)-1-i] // traces come back newest first
+		if got.FlowHash != pipeline.AffinityHash(pk.Tuple()) || !reflect.DeepEqual(got.Hops, hops) {
+			t.Errorf("trace %d differs:\n platform: %x %+v\n walk:     %+v", i, got.FlowHash, got.Hops, hops)
 		}
-		traces := p.PathTraces(addr, 0)
-		if len(traces) != len(wantLast) {
-			t.Fatalf("noPipeline=%v: got %d traces, want %d", noPipeline, len(traces), len(wantLast))
-		}
-		return traces
-	}
-	compiled, graph := run(false), run(true)
-	for i := range compiled {
-		c, g := compiled[i], graph[i]
-		if c.Dataplane != "pipeline" || g.Dataplane != "graph" {
-			t.Fatalf("dataplane tags: %q / %q", c.Dataplane, g.Dataplane)
-		}
-		if c.FlowHash != g.FlowHash || !reflect.DeepEqual(c.Hops, g.Hops) {
-			t.Errorf("trace %d differs:\n pipeline: %+v\n graph:    %+v", i, c.Hops, g.Hops)
-		}
-		// Traces come back newest first.
-		want := wantLast[len(wantLast)-1-i]
-		last := g.Hops[len(g.Hops)-1]
-		if last.Verdict != want || last.Elem == "" {
-			t.Errorf("trace %d ends in %+v, want verdict %q at a named element", i, last, want)
+		last := got.Hops[len(got.Hops)-1]
+		if last.Verdict != wantLast[i] || last.Elem == "" {
+			t.Errorf("trace %d ends in %+v, want verdict %q at a named element", i, last, wantLast[i])
 		}
 	}
 }

@@ -63,8 +63,9 @@ type ModuleSpec struct {
 	Stateful bool
 	// ExtraCycles adds middlebox-specific per-packet cost.
 	ExtraCycles float64
-	// NoPipeline forces the graph-walk dataplane for this module even
-	// when its configuration would flatten (operator escape hatch).
+	// NoPipeline has no effect: every module runs on its pipeline.Exec.
+	//
+	// Deprecated: kept only so existing callers still compile.
 	NoPipeline bool
 	// TraceEvery is the module's path-trace sampling rate: one flow in
 	// every N flow-hash residues is traced. 0 uses the platform
@@ -85,13 +86,10 @@ type VM struct {
 	// LastActive is the last packet-processing time.
 	LastActive netsim.Time
 
-	routers map[uint32]*click.Router
-	// progs caches the compiled run-to-completion program per module
-	// address; noCompile records modules whose configuration did not
-	// flatten so the compile is attempted only once.
-	progs     map[uint32]*pipeline.Exec
-	noCompile map[uint32]string
-	pending   []pendingPacket
+	// execs holds each hosted module's driver, built on first use; its
+	// router is the module's state, and what a checkpoint images.
+	execs   map[uint32]*pipeline.Exec
+	pending []pendingPacket
 	// PacketsProcessed counts packets pushed through the VM.
 	PacketsProcessed uint64
 }
@@ -105,13 +103,12 @@ type pendingPacket struct {
 }
 
 // flight is a packet scheduled for processing: what its event needs
-// when it fires. spec is resolved at schedule time. Records recycle
-// through Platform.flights, so the steady-state path allocates nothing.
+// when it fires. Records recycle through Platform.flights, so the
+// steady-state path allocates nothing.
 type flight struct {
-	vm   *VM
-	spec *ModuleSpec
-	pkt  *packet.Packet
-	out  func(iface int, pk *packet.Packet)
+	vm  *VM
+	pkt *packet.Packet
+	out func(iface int, pk *packet.Packet)
 }
 
 // Platform is the simulated In-Net host.
@@ -124,8 +121,6 @@ type Platform struct {
 	landFn func(any)
 	// flights is the free list of flight records.
 	flights []*flight
-	// scratch is the Context every landed packet runs on (see land).
-	scratch click.Context
 	// Transmit, when set, receives traffic originated by source
 	// modules (generators emit without a triggering Deliver).
 	Transmit func(iface int, p *packet.Packet)
@@ -164,7 +159,7 @@ type Platform struct {
 	TraceEvery int
 	pathRings  map[uint32]*telemetry.PathRing
 	// Rec, when set, receives flight-recorder events for VM crashes,
-	// respawns, evictions, outages and compile fallbacks.
+	// respawns, evictions and outages.
 	Rec *telemetry.Recorder
 
 	down bool
@@ -189,14 +184,10 @@ type Platform struct {
 	DroppedTimeout                  uint64
 	DroppedDown                     uint64
 	DroppedInFlight                 uint64
-	// Pipeline dataplane counters: compiles, fallbacks to the graph
-	// walk (with reasons), and packets run through compiled programs.
-	PipelineCompiled uint64
-	PipelineFallback uint64
-	PipelinePackets  uint64
-	pipelineReasons  map[string]uint64
+	// PipelinePackets counts packets landed on a module's Exec.
+	PipelinePackets uint64
 	// pipelineRetired carries the packet/batch/drop totals of
-	// destroyed VMs' programs so PipelineCounters stays monotonic;
+	// destroyed VMs' Execs so PipelineCounters stays monotonic;
 	// pipelineRetiredBy does the same for the per-reason drop split.
 	pipelineRetired   [3]uint64
 	pipelineRetiredBy [click.NumDropReasons]uint64
@@ -222,7 +213,6 @@ func New(sim *netsim.Sim, model Model, memTotalMB int) *Platform {
 	}
 	p.now = sim.Now
 	p.landFn = p.land
-	p.scratch.Now = p.now
 	return p
 }
 
@@ -538,19 +528,17 @@ func (p *Platform) finishBoot(vm *VM) {
 		if !spec.hasSource {
 			continue
 		}
-		r, err := p.routerFor(vm, spec.Addr)
-		if err != nil || r == nil {
-			continue
+		if x, err := p.execFor(vm, spec.Addr); err == nil {
+			p.driveTickers(vm, x, p.transmitSource)
 		}
-		ctx := &click.Context{
-			Now: p.now,
-			Transmit: func(iface int, pk *packet.Packet) {
-				if p.Transmit != nil {
-					p.Transmit(iface, pk)
-				}
-			},
-		}
-		p.driveTickers(vm, r, ctx)
+	}
+}
+
+// transmitSource is the egress of source modules: traffic they
+// originate goes to p.Transmit, or nowhere while it is unset.
+func (p *Platform) transmitSource(iface int, pk *packet.Packet) {
+	if p.Transmit != nil {
+		p.Transmit(iface, pk)
 	}
 }
 
@@ -581,7 +569,7 @@ func (p *Platform) process(vm *VM, pkt *packet.Packet, out func(iface int, pk *p
 	} else {
 		f = new(flight)
 	}
-	*f = flight{vm: vm, spec: spec, pkt: pkt, out: out}
+	*f = flight{vm: vm, pkt: pkt, out: out}
 	p.sim.AfterArg(lat, p.landFn, f)
 }
 
@@ -589,7 +577,7 @@ func (p *Platform) process(vm *VM, pkt *packet.Packet, out func(iface int, pk *p
 // through its guest, then returns the record to the free list.
 func (p *Platform) land(arg any) {
 	f := arg.(*flight)
-	vm, spec, pkt, out := f.vm, f.spec, f.pkt, f.out
+	vm, pkt, out := f.vm, f.pkt, f.out
 	*f = flight{}
 	p.flights = append(p.flights, f)
 	if _, alive := p.vms[vm.ID]; !alive {
@@ -598,119 +586,62 @@ func (p *Platform) land(arg any) {
 		p.DroppedInFlight++
 		return
 	}
-	r, err := p.routerFor(vm, pkt.DstIP)
-	if err != nil || r == nil {
+	x, err := p.execFor(vm, pkt.DstIP)
+	if err != nil {
 		return
 	}
-	// Elements do not retain a Context, so every packet runs on the
-	// platform's scratch one; driveTickers copies it for a ticker chain.
-	ctx := &p.scratch
-	ctx.Transmit = out
-	if x := p.programFor(vm, pkt.DstIP, r); x != nil {
-		// Compiled fast path: run to completion through the flattened
-		// program. The program shares the router's element instances,
-		// so ticker drains below stay coherent. Path tracing, when
-		// armed, samples inside RunOne.
-		x.Transmit = out
-		_ = x.RunOne(0, pkt)
-		p.PipelinePackets++
-	} else if every := p.traceEveryFor(spec); every > 0 &&
-		telemetry.Sampled(pipeline.AffinityHash(pkt.Tuple()), every) {
-		p.injectTraced(r, ctx, pkt, p.pathRing(pkt.DstIP),
-			pipeline.AffinityHash(pkt.Tuple()))
-	} else {
-		_ = r.Inject(ctx, 0, pkt)
-	}
+	x.Transmit = out
+	_ = x.RunOne(0, pkt) // a missing injection point is counted as an unwired drop
+	p.PipelinePackets++
 	// Drive due timed elements (batchers etc.) immediately and schedule
 	// their next tick.
-	p.driveTickers(vm, r, ctx)
+	p.driveTickers(vm, x, out)
 }
 
-// routerFor lazily builds (per spec) the Click router for the module
-// addressed inside the VM. Consolidated VMs keep one router per
-// config — the demultiplexing cost is accounted by the CPU model.
-func (p *Platform) routerFor(vm *VM, addr uint32) (*click.Router, error) {
+// execFor returns the driver of the module addressed inside the VM,
+// building its router on first use. Consolidated VMs keep one router
+// per config — the demultiplexing cost is accounted by the CPU model.
+func (p *Platform) execFor(vm *VM, addr uint32) (*pipeline.Exec, error) {
 	spec := p.specs[addr]
 	if spec == nil {
 		return nil, fmt.Errorf("platform: no module for %s", packet.IPString(addr))
 	}
-	if vm.routers == nil {
-		vm.routers = make(map[uint32]*click.Router)
-	}
-	if r := vm.routers[addr]; r != nil {
-		return r, nil
+	if x := vm.execs[addr]; x != nil {
+		return x, nil
 	}
 	// A checkpointed suspend image restores the module's state instead
 	// of booting a pristine graph (§5 suspend/resume as the recovery
 	// primitive). Images are referenced, not copied: divergence between
 	// the checkpoint instant and the crash is not modeled.
-	if ck := p.checkpoints[addr]; ck != nil {
-		vm.routers[addr] = ck
+	r := p.checkpoints[addr]
+	if r != nil {
 		p.Restores++
-		return ck, nil
-	}
-	cfg, err := clicklang.Parse(spec.Config)
-	if err != nil {
-		return nil, err
-	}
-	r, err := click.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	vm.routers[addr] = r
-	return r, nil
-}
-
-// programFor returns the compiled pipeline for addr's router,
-// compiling on first use. nil means the module runs on the graph walk:
-// either the spec opts out, or the configuration does not flatten (the
-// reason is recorded once and counted in PipelineFallback).
-func (p *Platform) programFor(vm *VM, addr uint32, r *click.Router) *pipeline.Exec {
-	spec := p.specs[addr]
-	if spec == nil || spec.NoPipeline {
-		return nil
-	}
-	if x := vm.progs[addr]; x != nil {
-		return x
-	}
-	if _, bad := vm.noCompile[addr]; bad {
-		return nil
-	}
-	prog, err := pipeline.Compile(r)
-	if err != nil {
-		if vm.noCompile == nil {
-			vm.noCompile = make(map[uint32]string)
+	} else {
+		var err error
+		if r, err = pipeline.CompileConfig(spec.Config); err != nil {
+			return nil, err
 		}
-		vm.noCompile[addr] = err.Error()
-		p.PipelineFallback++
-		if p.pipelineReasons == nil {
-			p.pipelineReasons = make(map[string]uint64)
-		}
-		p.pipelineReasons[err.Error()]++
-		p.record("compile-fallback", err.Error(), packet.IPString(addr))
-		return nil
 	}
-	x := pipeline.NewExec(prog)
+	x := pipeline.NewExec(r)
 	x.Now = p.now
 	if every := p.traceEveryFor(spec); every > 0 {
 		x.EnablePathTrace(p.pathRing(addr), every)
 	}
-	if vm.progs == nil {
-		vm.progs = make(map[uint32]*pipeline.Exec)
+	if vm.execs == nil {
+		vm.execs = make(map[uint32]*pipeline.Exec)
 	}
-	vm.progs[addr] = x
-	p.PipelineCompiled++
-	return x
+	vm.execs[addr] = x
+	return x, nil
 }
 
 // PipelineCounters sums the packet/batch/drop counters of every
-// compiled program on the platform: live programs of resident VMs
-// plus the totals retired with destroyed VMs, so the sums are
-// monotonic across evictions and crash/respawn cycles.
+// module's Exec on the platform: live ones of resident VMs plus the
+// totals retired with destroyed VMs, so the sums are monotonic across
+// evictions and crash/respawn cycles.
 func (p *Platform) PipelineCounters() (packets, batches, drops uint64) {
 	packets, batches, drops = p.pipelineRetired[0], p.pipelineRetired[1], p.pipelineRetired[2]
 	for _, vm := range p.vms {
-		for _, x := range vm.progs {
+		for _, x := range vm.execs {
 			packets += x.Packets
 			batches += x.Batches
 			drops += x.Drops
@@ -719,51 +650,29 @@ func (p *Platform) PipelineCounters() (packets, batches, drops uint64) {
 	return packets, batches, drops
 }
 
-// PipelineFallbackReasons snapshots why modules fell back to the
-// graph-walk dataplane (compile-error text -> count).
+// PipelineFallbackReasons always returns an empty map: every module
+// runs on its Exec, so none falls back.
+//
+// Deprecated: kept only so existing callers still compile.
 func (p *Platform) PipelineFallbackReasons() map[string]uint64 {
-	out := make(map[string]uint64, len(p.pipelineReasons))
-	for k, v := range p.pipelineReasons {
-		out[k] = v
-	}
-	return out
+	return map[string]uint64{}
 }
 
-// DataplaneFor reports which dataplane addr's resident VM uses:
-// "pipeline", "graph-walk", or "" when the module has no live router
-// yet.
-func (p *Platform) DataplaneFor(addr uint32) string {
-	vm := p.byAddr[addr]
-	if vm == nil {
-		return ""
-	}
-	if vm.progs[addr] != nil {
-		return "pipeline"
-	}
-	if _, bad := vm.noCompile[addr]; bad {
-		return "graph-walk"
-	}
-	if spec := p.specs[addr]; spec != nil && spec.NoPipeline {
-		return "graph-walk"
-	}
-	return ""
-}
-
-// driveTickers runs a router's schedulable elements, rescheduling as
-// needed. The chain keeps its own copy of ctx, so it transmits through
-// the out of the packet that started it even when ctx is the
-// platform's scratch context.
-func (p *Platform) driveTickers(vm *VM, r *click.Router, ctx *click.Context) {
-	next := r.Tick(ctx)
+// driveTickers runs a module's schedulable elements through its Exec,
+// rescheduling as needed. The chain transmits through out, the egress
+// of the packet (or boot) that started it, whichever packets land on
+// the module meanwhile.
+func (p *Platform) driveTickers(vm *VM, x *pipeline.Exec, out func(iface int, pk *packet.Packet)) {
+	x.Transmit = out
+	next := x.Tick()
 	if next < 0 {
 		return
 	}
-	c := *ctx
 	p.sim.After(next, func() {
 		if _, alive := p.vms[vm.ID]; !alive {
 			return
 		}
-		p.driveTickers(vm, r, &c)
+		p.driveTickers(vm, x, out)
 	})
 }
 
@@ -830,7 +739,7 @@ func (p *Platform) destroy(vm *VM) {
 	if _, alive := p.vms[vm.ID]; !alive {
 		return // double-destroy is a no-op
 	}
-	for _, x := range vm.progs {
+	for _, x := range vm.execs {
 		p.pipelineRetired[0] += x.Packets
 		p.pipelineRetired[1] += x.Batches
 		p.pipelineRetired[2] += x.Drops
@@ -876,8 +785,8 @@ func (p *Platform) failVM(vm *VM, cause string) {
 	pend := vm.pending
 	vm.pending = nil
 	vm.State = VMFailed
-	vm.routers = nil
 	p.destroy(vm)
+	vm.execs = nil
 	for _, pp := range pend {
 		p.stashOrphan(pp.pkt.DstIP, pp)
 	}
@@ -949,8 +858,8 @@ func (p *Platform) Fail() {
 		p.DroppedDown += uint64(len(vm.pending))
 		vm.pending = nil
 		vm.State = VMFailed
-		vm.routers = nil
 		p.destroy(vm)
+		vm.execs = nil
 	}
 	for addr, pend := range p.orphans {
 		p.DroppedDown += uint64(len(pend))
@@ -994,8 +903,8 @@ func (p *Platform) checkpointVM(vm *VM) int {
 		if !s.Stateful {
 			continue
 		}
-		if r := vm.routers[s.Addr]; r != nil {
-			p.checkpoints[s.Addr] = r
+		if x := vm.execs[s.Addr]; x != nil {
+			p.checkpoints[s.Addr] = x.Router()
 			p.Checkpoints++
 			n++
 		}

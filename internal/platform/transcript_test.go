@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 
 // TestTranscriptGolden is a behaviour oracle for the platform's packet
 // path and guest lifecycle. A seeded driver runs a mix of modules —
-// compiled and graph-walk, with and without tickers, stateful, sandboxed
-// and a traffic source — through boot buffering, crashes with packets
+// with and without tickers, stateful, sandboxed, a balancer and a
+// traffic source — through boot buffering, crashes with packets
 // in flight, boot failures and their backoff, suspend/resume, memory
 // pressure, whole-platform outages and unregistration with events
 // pending. Every transmitted packet and every counter is rendered into
@@ -102,7 +101,7 @@ out :: ToNetfront();
 in -> fw -> out;
 `}},
 		{"tu", platform.ModuleSpec{Stateful: true, Config: timed}},
-		{"tu-gw", platform.ModuleSpec{Stateful: true, NoPipeline: true, Config: timed}},
+		{"tu-gw", platform.ModuleSpec{Stateful: true, Config: timed}},
 		{"sbx", platform.ModuleSpec{Stateful: true, Config: sandboxed}},
 		{"rr", platform.ModuleSpec{Config: `in :: FromNetfront();
 rr :: RoundRobinSwitch(2);
@@ -263,15 +262,6 @@ func runTranscript(t *testing.T, w *strings.Builder, seed int64) {
 	}
 	sim.RunUntil(sim.Now() + 10*netsim.Second)
 	renderState(w, sim, p, mods)
-	reasons := p.PipelineFallbackReasons()
-	keys := make([]string, 0, len(reasons))
-	for k := range reasons {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "fallback %q %d\n", k, reasons[k])
-	}
 }
 
 // renderState writes every platform counter and each module's guest.
@@ -279,17 +269,17 @@ func renderState(w *strings.Builder, sim *netsim.Sim, p *platform.Platform, mods
 	pk, pb, pd := p.PipelineCounters()
 	fmt.Fprintf(w, "ctr t=%d exec=%d pend=%d vms=%d mem=%d buf=%d down=%v "+
 		"boot=%d susp=%d res=%d destroy=%d crash=%d bootfail=%d respawn=%d outage=%d evict=%d ckpt=%d restore=%d "+
-		"drop=%d/%d/%d/%d/%d/%d total=%d pipe=%d/%d/%d run=%d/%d/%d by=%v\n",
+		"drop=%d/%d/%d/%d/%d/%d total=%d pipe=%d run=%d/%d/%d by=%v\n",
 		sim.Now(), sim.Executed, sim.Pending(), p.ResidentVMs(), p.MemUsedMB, p.PendingBuffered(), p.Down(),
 		p.Boots, p.Suspends, p.Resumes, p.Destroys, p.Crashes, p.BootFailures, p.Respawns, p.Outages,
 		p.Evictions, p.Checkpoints, p.Restores,
 		p.DroppedNoModule, p.DroppedNoMemory, p.DroppedBufferFull, p.DroppedTimeout, p.DroppedDown,
 		p.DroppedInFlight, p.DroppedTotal(),
-		p.PipelineCompiled, p.PipelineFallback, p.PipelinePackets, pk, pb, pd, p.PipelineDrops())
+		p.PipelinePackets, pk, pb, pd, p.PipelineDrops())
 	w.WriteString("vm")
 	for _, m := range mods {
 		if vm := p.VMFor(m.spec.Addr); vm != nil {
-			fmt.Fprintf(w, " %s=%d:%s:%d:%s", m.name, vm.ID, vm.State, vm.PacketsProcessed, p.DataplaneFor(m.spec.Addr))
+			fmt.Fprintf(w, " %s=%d:%s:%d", m.name, vm.ID, vm.State, vm.PacketsProcessed)
 		} else {
 			fmt.Fprintf(w, " %s=-", m.name)
 		}

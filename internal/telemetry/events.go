@@ -19,7 +19,7 @@ type Event struct {
 	Time time.Time `json:"time"`
 	// Type names the transition: "election-won", "fenced", "vm-crash",
 	// "vm-respawn", "platform-outage", "platform-recover",
-	// "vm-evicted", "compile-fallback", "journal-rollback",
+	// "vm-evicted", "journal-rollback",
 	// "journal-wedged", "platform-down", "platform-up",
 	// "module-failover", "migration-failed", "cache-invalidate".
 	Type string `json:"type"`
@@ -27,7 +27,7 @@ type Event struct {
 	// "journal", "controller".
 	Source string `json:"source"`
 	// Detail is human-readable context (the fencing reason, the crash
-	// cause, the compile error).
+	// cause).
 	Detail string `json:"detail,omitempty"`
 	// Ref names the subject when one exists: a platform name, a
 	// deployment ID, a module address.

@@ -108,9 +108,9 @@ func TestPathRingMerge(t *testing.T) {
 	var seq atomic.Uint64
 	w0 := NewPathRing(4, &seq)
 	w1 := NewPathRing(4, &seq)
-	w0.Put(PathTrace{FlowHash: 1, Dataplane: "pipeline", Hops: []PathHop{{Elem: "a", Verdict: "forward"}}})
-	w1.Put(PathTrace{FlowHash: 2, Dataplane: "pipeline"})
-	w0.Put(PathTrace{FlowHash: 3, Dataplane: "pipeline"})
+	w0.Put(PathTrace{FlowHash: 1, Hops: []PathHop{{Elem: "a", Verdict: "forward"}}})
+	w1.Put(PathTrace{FlowHash: 2})
+	w0.Put(PathTrace{FlowHash: 3})
 	merged := MergeRecent(0, w0, w1)
 	if len(merged) != 3 {
 		t.Fatalf("merged %d traces, want 3", len(merged))

@@ -36,15 +36,12 @@ type PathTrace struct {
 	// FlowHash is the symmetric flow-affinity hash the sampler keyed
 	// on; both directions of a connection share it.
 	FlowHash uint64 `json:"flow_hash"`
-	// Dataplane says which engine produced the trace: "pipeline"
-	// (compiled run-to-completion) or "graph" (element-walk fallback).
-	Dataplane string `json:"dataplane"`
 	// Hops is the stage-by-stage traversal, in execution order.
 	Hops []PathHop `json:"hops"`
 }
 
 // PathRing retains the most recent path traces for one execution
-// context (one pipeline worker, or one module's graph walker). Rings
+// context (one module's pipeline.Exec). Rings
 // belonging to the same module share a *atomic.Uint64 sequence source
 // so MergeRecent can interleave them in capture order. Writes take a
 // short mutex — they happen at most once per sampled packet (1-in-N

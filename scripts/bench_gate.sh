@@ -8,10 +8,13 @@
 #
 # BASE_REF is checked out into a temporary git worktree (removed on
 # exit), and scripts/bench_pairs.sh runs 3 pairs of 10 s runs per
-# workload. The gate exits 1 when any end-to-end metric's verdict
-# is "worse" (its median worse than the base's by more than the
-# metric's bound in BENCHMARK.json); a failed run or a run whose output
-# is incorrect aborts it non-zero. It takes about 5 minutes on 2 CPUs;
+# workload. A workload with any end-to-end metric whose verdict is
+# "worse" (its median worse than the base's by more than the metric's
+# bound in BENCHMARK.json) is run again alone at 10 pairs, and the gate
+# exits 1 only if a metric still reads "worse" there: 3 pairs on a
+# shared host can read an unchanged 0.2 s setup_s as 35 % worse. A
+# failed run or a run whose output is incorrect aborts it non-zero. It
+# takes about 5 minutes on 2 CPUs, plus about 5 per confirmed workload;
 # run nothing else meanwhile.
 set -euo pipefail
 
@@ -19,7 +22,7 @@ if [ $# -ne 1 ]; then
 	sed -n 's/^#   //p' "$0" >&2
 	exit 2
 fi
-readonly pairs=3 seconds=10
+readonly pairs=3 confirm=10 seconds=10
 
 cd "$(dirname "$0")/.."
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench-gate.XXXXXX")"
@@ -38,6 +41,10 @@ workloads="$(awk '/"workloads"/ { on = 1 } on && /"name"/ { split($0, f, "\""); 
 
 for w in $workloads; do
 	bash scripts/bench_pairs.sh "$base" . "$w" "$pairs" "$seconds" | tee "$tmp/pairs.txt"
+	if grep -q ' worse$' "$tmp/pairs.txt"; then
+		echo "bench gate: $w reads worse at $pairs pairs; confirming at $confirm" >&2
+		bash scripts/bench_pairs.sh "$base" . "$w" "$confirm" "$seconds" | tee "$tmp/pairs.txt"
+	fi
 	grep ' worse$' "$tmp/pairs.txt" | sed "s/^/$w: /" >>"$tmp/worse.txt" || true
 done
 
