@@ -79,7 +79,7 @@ func AblationSuspendResume() *Table {
 func AblationSandbox(quick bool) *Table {
 	n, trials := 200000, 5
 	if quick {
-		n, trials = 50000, 3
+		n, trials = 20000, 15
 	}
 	const bare = `
 in :: FromNetfront();
@@ -117,8 +117,8 @@ ce[1] -> out;
 		panic(err)
 	}
 	tpl := dataplane.UDPTemplate(64)
-	a := rb.MeasureBest(tpl, n, trials)
-	b := re.MeasureBest(tpl, n, trials)
+	best := dataplane.MeasureBest(tpl, n, trials, rb, re)
+	a, b := best[0], best[1]
 	// Separate-VM: two VM context switches per packet; §7.2 reports
 	// the system dropping to ≈30% of the unsandboxed rate.
 	sepNs := a.NsPerPacket / 0.30

@@ -261,7 +261,7 @@ ce[1] -> out;
 `
 	n, trials := 200000, 5
 	if quick {
-		n, trials = 50000, 3
+		n, trials = 20000, 15
 	}
 	t := &Table{
 		ID:      "Figure 11",
@@ -278,8 +278,8 @@ ce[1] -> out;
 	}
 	for _, size := range []int{64, 128, 256, 512, 1024, 1472} {
 		tpl := dataplane.UDPTemplate(size)
-		a := rp.MeasureBest(tpl, n, trials)
-		b := rs.MeasureBest(tpl, n, trials)
+		best := dataplane.MeasureBest(tpl, n, trials, rp, rs)
+		a, b := best[0], best[1]
 		noSb := dataplane.CapPPS(a.PPS, size, 10e9)
 		withSb := dataplane.CapPPS(b.PPS, size, 10e9)
 		// The separate-VM sandbox pays two VM context switches per

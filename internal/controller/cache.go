@@ -33,6 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,19 +127,10 @@ func cloneReport(rep *security.Report) *security.Report {
 	return &c
 }
 
-// topologyChangedLocked marks the per-platform digest table stale.
-// Call after every mutation of the deployment set or platform health.
-func (c *Controller) topologyChangedLocked() {
-	if !c.digestsDirty {
-		// First invalidation since the last recompute: one event per
-		// burst of mutations, so the recorder is not flooded.
-		c.recordLocked("cache-invalidate", "topology mutation", "")
-	}
-	c.digestsDirty = true
-}
-
-// digestsLocked returns the dependency-token digest table for delta
-// invalidation, recomputing it only after mutations.
+// depTable is the dependency-token table placement-dependent entries
+// are validated against. It is kept up to date as deployments change,
+// one deployment at a time, rather than rebuilt: a change rehashes
+// only the platforms it touches.
 // Tokens:
 //
 //   - "mod:<name>" is one live deployment's digest (Deployment.seal:
@@ -149,58 +141,134 @@ func (c *Controller) topologyChangedLocked() {
 //     flow reaches its platform.
 //   - "pf:<platform>" digests the sorted digests of the live modules
 //     a platform hosts — everything that shapes the platform's demux
-//     and element graphs. Sorted, so the digest is independent of map
-//     iteration order; check outcomes are branch-order-independent, so
-//     that is sound.
+//     and element graphs. Sorted, so the digest is independent of the
+//     order modules arrived in; check outcomes are
+//     branch-order-independent, so that is sound.
 //
-// Each deployment is digested once, when placed; a recompute only
+// Each deployment is digested once, when placed; the table only
 // regroups those digests.
 //
 // Platform *health* is deliberately excluded: down platforms are
 // skipped before any cached check runs, so an outage flip touches no
 // cached placement/query entry.
-func (c *Controller) digestsLocked() map[string]string {
-	if !c.digestsDirty && c.digests != nil {
-		return c.digests
-	}
-	platforms := c.topo.Platforms()
-	perPf := make(map[string][]string, len(platforms))
-	out := make(map[string]string, len(c.deployments)+len(platforms))
-	for _, d := range c.deployments {
-		if !d.onNetwork() {
-			continue
-		}
-		perPf[d.Platform] = append(perPf[d.Platform], d.digest)
-		out["mod:"+d.ModuleName] = d.digest
+type depTable struct {
+	// counted maps a deployment ID to the deployment whose digest the
+	// table holds for it: only on-network deployments are counted.
+	counted map[string]*Deployment
+	// digests is each platform's sorted digest multiset and pf its
+	// "pf:" token value.
+	digests map[string][]string
+	pf      map[string]string
+	// mods serves "mod:" tokens: module name to digest.
+	mods map[string]string
+	// gen counts changes, so a reader that let go of the controller's
+	// lock can tell whether the table moved meanwhile.
+	gen uint64
+}
+
+// newDepTable returns the table of a network with no modules.
+func newDepTable(platforms []string) depTable {
+	t := depTable{
+		counted: make(map[string]*Deployment),
+		digests: make(map[string][]string, len(platforms)),
+		pf:      make(map[string]string, len(platforms)),
+		mods:    make(map[string]string),
 	}
 	for _, pl := range platforms {
-		digests := perPf[pl]
-		sort.Strings(digests)
-		out["pf:"+pl] = hashKey(append([]string{"pf"}, digests...)...)
+		t.pf[pl] = hashKey("pf")
 	}
-	c.digests = out
-	c.digestsDirty = false
-	return out
+	return t
+}
+
+// note brings the table in line with deployment ID id, now d (nil when
+// it is gone or off the network), and reports whether the table
+// changed.
+func (t *depTable) note(id string, d *Deployment) bool {
+	old := t.counted[id]
+	if old == d {
+		return false
+	}
+	if old != nil {
+		ds := t.digests[old.Platform]
+		if i, ok := slices.BinarySearch(ds, old.digest); ok {
+			t.digests[old.Platform] = slices.Delete(ds, i, i+1)
+		}
+		if t.mods[old.ModuleName] == old.digest {
+			delete(t.mods, old.ModuleName)
+		}
+		delete(t.counted, id)
+	}
+	if d != nil {
+		ds := t.digests[d.Platform]
+		i, _ := slices.BinarySearch(ds, d.digest)
+		t.digests[d.Platform] = slices.Insert(ds, i, d.digest)
+		t.mods[d.ModuleName] = d.digest
+		t.counted[id] = d
+	}
+	if old != nil {
+		t.rehash(old.Platform)
+	}
+	if d != nil && (old == nil || d.Platform != old.Platform) {
+		t.rehash(d.Platform)
+	}
+	t.gen++
+	return true
+}
+
+// rehash recomputes one platform's "pf:" token value.
+func (t *depTable) rehash(platform string) {
+	t.pf[platform] = hashKey(append([]string{"pf"}, t.digests[platform]...)...)
+}
+
+// token returns a dependency token's current value ("" for none).
+func (t *depTable) token(tok string) string {
+	if pl, ok := strings.CutPrefix(tok, "pf:"); ok {
+		return t.pf[pl]
+	}
+	if name, ok := strings.CutPrefix(tok, "mod:"); ok {
+		return t.mods[name]
+	}
+	return ""
 }
 
 // depsValid reports whether every recorded dependency token still
-// digests to its recorded value.
-func depsValid(deps, cur map[string]string) bool {
+// has its recorded value.
+func (t *depTable) depsValid(deps map[string]string) bool {
 	for tok, d := range deps {
-		if cur[tok] != d {
+		if t.token(tok) != d {
 			return false
 		}
 	}
 	return true
 }
 
+// depsNoteLocked updates the dependency table for deployment id after
+// any change to it: placement, removal or a status change. The first
+// change since the table was last read records one cache-invalidate
+// event, so a burst of mutations is one event.
+func (c *Controller) depsNoteLocked(id string) {
+	d := c.deployments[id]
+	if d != nil && !d.onNetwork() {
+		d = nil
+	}
+	if c.deps.note(id, d) && !c.depsChanged {
+		c.recordLocked("cache-invalidate", "topology mutation", "")
+		c.depsChanged = true
+	}
+}
+
+// depsLocked returns the dependency table for a lookup or a store.
+func (c *Controller) depsLocked() *depTable {
+	c.depsChanged = false
+	return &c.deps
+}
+
 // depsFor converts a check's observed footprint (visited compiled
 // nodes + by-name references) into dependency tokens valued from the
-// digest snapshot the check ran against. Static topology nodes
-// (routers, endpoints, middlebox elements) produce no token — the
-// topology is immutable for a controller's lifetime; only the
-// deployment set changes.
-func (c *Controller) depsFor(env *policy.CheckEnv, cur map[string]string) map[string]string {
+// current table. Static topology nodes (routers, endpoints, middlebox
+// elements) produce no token — the topology is immutable for a
+// controller's lifetime; only the deployment set changes.
+func (c *Controller) depsFor(env *policy.CheckEnv, t *depTable) map[string]string {
 	deps := make(map[string]string)
 	for node := range env.Visited {
 		base := node
@@ -209,16 +277,16 @@ func (c *Controller) depsFor(env *policy.CheckEnv, cur map[string]string) map[st
 		}
 		if n := c.topo.Node(base); n != nil {
 			if n.Kind == topology.KindPlatform {
-				deps["pf:"+base] = cur["pf:"+base]
+				deps["pf:"+base] = t.pf[base]
 			}
 			continue // static topology node
 		}
 		if m := env.Map.Module(base); m != nil {
-			deps["pf:"+m.Platform] = cur["pf:"+m.Platform]
+			deps["pf:"+m.Platform] = t.pf[m.Platform]
 		}
 	}
 	for name := range env.RefNames {
-		deps["mod:"+name] = cur["mod:"+name]
+		deps["mod:"+name] = t.mods[name]
 	}
 	return deps
 }
@@ -289,12 +357,11 @@ func policyDetail(platformName, reason string, err error) string {
 	}
 }
 
-// cachedQuery consults the cache for a full Query result: the entry
-// hits while its recorded dependency tokens still match cur.
-func (c *Controller) cachedQuery(key string, cur map[string]string) (*QueryResult, bool) {
-	v, ok := c.cache.Get(key, func(deps map[string]string) bool {
-		return depsValid(deps, cur)
-	})
+// cachedQueryLocked consults the cache for a full Query result: the
+// entry hits while its recorded dependency tokens still hold.
+func (c *Controller) cachedQueryLocked(key string) (*QueryResult, bool) {
+	t := c.depsLocked()
+	v, ok := c.cache.Get(key, t.depsValid)
 	if !ok {
 		return nil, false
 	}
@@ -302,15 +369,21 @@ func (c *Controller) cachedQuery(key string, cur map[string]string) (*QueryResul
 	return &r, true
 }
 
-// putQuery stores a Query result. The dependency values come from the
-// digest snapshot (cur) the check actually ran against, so a topology
-// mutation racing with an unlocked query run leaves a stale-valued
-// entry that the next lookup discards — never a wrong hit.
-func (c *Controller) putQuery(key string, cur map[string]string, env *policy.CheckEnv, r *QueryResult) {
+// putQuery stores a Query result that was checked, outside the lock,
+// against the network as it stood at table generation gen. If the
+// table has moved since, the verdict may be stale and is not stored;
+// otherwise the current token values are the ones the check ran
+// against.
+func (c *Controller) putQuery(key string, gen uint64, env *policy.CheckEnv, r *QueryResult) {
 	if c.cache == nil {
 		return
 	}
 	cp := *r
 	cp.Timings = Timings{} // cached verdicts cost nothing; don't replay stale timings
-	c.cache.Put(key, c.depsFor(env, cur), &cp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.deps.gen != gen {
+		return
+	}
+	c.cache.Put(key, c.depsFor(env, c.depsLocked()), &cp)
 }

@@ -305,12 +305,12 @@ type Controller struct {
 	// with ErrNotLeader (see replication.go).
 	role Role
 	// cache memoizes symbolic-execution verdicts (nil = disabled);
-	// digests is the dependency token table placement-dependent
-	// entries are validated against, recomputed when digestsDirty (see
-	// cache.go).
-	cache        *symexec.Cache
-	digests      map[string]string
-	digestsDirty bool
+	// deps is the dependency token table placement-dependent entries
+	// are validated against, and depsChanged marks a change since it
+	// was last read (see cache.go).
+	cache       *symexec.Cache
+	deps        depTable
+	depsChanged bool
 	// snap is the network snapshot placement checks run against,
 	// synced to the hosted modules plus the tentative one on each
 	// placement-cache miss; syncHook, when set by tests, sees every
@@ -353,7 +353,7 @@ func NewWithOptions(topo *topology.Topology, operatorPolicy string, opts Options
 		deployments:  make(map[string]*Deployment),
 		platformDown: make(map[string]bool),
 		cache:        symexec.NewCache(cacheSize), // nil (disabled) when cacheSize < 0
-		digestsDirty: true,
+		deps:         newDepTable(topo.Platforms()),
 		snap:         topo.NewSnapshot(),
 	}
 	if strings.TrimSpace(operatorPolicy) != "" {
@@ -735,10 +735,7 @@ func namesOverlap(a, b string) bool {
 // was there and still valid.
 func (c *Controller) lookupPlacementLocked(key string) (string, bool) {
 	lstart := time.Now()
-	cur := c.digestsLocked()
-	v, ok := c.cache.Get(key, func(deps map[string]string) bool {
-		return depsValid(deps, cur)
-	})
+	v, ok := c.cache.Get(key, c.depsLocked().depsValid)
 	if !ok {
 		c.stageLocked(StageCacheLookup, lstart, "placement: miss")
 		return "", false
@@ -778,7 +775,7 @@ func (c *Controller) checkPlacementLocked(platformName string, reqs []*policy.Re
 		return reason, err
 	}
 	if useCache {
-		c.cache.Put(key, c.depsFor(env, c.digestsLocked()), reason)
+		c.cache.Put(key, c.depsFor(env, c.depsLocked()), reason)
 	}
 	return reason, nil
 }
@@ -893,7 +890,7 @@ func (c *Controller) Failover(name string) (migrated []Migration, failed []*Depl
 		// tentative snapshots compiled by placeLocked do not include the
 		// unreachable module.
 		d.setStatus(StatusMigrating)
-		c.topologyChangedLocked()
+		c.depsNoteLocked(id)
 		c.beginSpanLocked("failover", id)
 		nd, err := c.placeLocked(d.req, nil)
 		if err != nil {
@@ -978,22 +975,17 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 	steps, deadline := c.opts.admissionBudget()
 	key := queryKey(requirements, steps)
 	c.mu.Lock()
-	hosted := c.hostedLocked(nil)
-	var cur map[string]string
-	if c.cache != nil {
-		// digestsLocked builds a fresh map on every recompute and
-		// never mutates one in place, so the snapshot reference is
-		// safe to read after unlocking.
-		cur = c.digestsLocked()
-	}
-	c.mu.Unlock()
 	// A cached verdict for this requirement text whose dependency
 	// tokens still match answers the probe without compiling or
 	// exploring anything — the §8 reachability probe becomes a hash
 	// lookup under steady traffic.
-	if res, ok := c.cachedQuery(key, cur); ok {
+	if res, ok := c.cachedQueryLocked(key); ok {
+		c.mu.Unlock()
 		return res, nil
 	}
+	hosted := c.hostedLocked(nil)
+	gen := c.deps.gen
+	c.mu.Unlock()
 	out := &QueryResult{Satisfied: true}
 	compileStart := time.Now()
 	net, nm, err := c.topo.Compile(hosted)
@@ -1005,7 +997,7 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 		Net: net, Map: nm, ClientNet: c.topo.ClientNet,
 		MaxSteps: steps, Deadline: deadline,
 	}
-	if cur != nil {
+	if c.cache != nil {
 		env.Visited = make(map[string]bool)
 		env.RefNames = make(map[string]bool)
 	}
@@ -1022,7 +1014,7 @@ func (c *Controller) Query(requirements string) (*QueryResult, error) {
 		}
 	}
 	out.Timings.Check = time.Since(checkStart)
-	c.putQuery(key, cur, env, out)
+	c.putQuery(key, gen, env, out)
 	return out, nil
 }
 

@@ -100,22 +100,28 @@ func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
 	switch rec.Type {
 	case journal.EvAdmit:
 		c.deployments[d.ID] = d
+		c.depsNoteLocked(d.ID)
 		c.Placed++
 	case journal.EvMigrate:
 		c.deployments[d.ID] = d
+		c.depsNoteLocked(d.ID)
 		c.Migrations++
 	case journal.EvMigrateFailed:
 		if d, ok := c.deployments[rec.ID]; ok {
 			d.setStatus(StatusFailed)
+			c.depsNoteLocked(rec.ID)
 		}
 		c.FailedMigrations++
 	case journal.EvStatus:
 		if d, ok := c.deployments[rec.ID]; ok {
 			d.setStatus(parseStatus(rec.Status))
+			c.depsNoteLocked(rec.ID)
 		}
 	case journal.EvKill:
 		delete(c.deployments, rec.ID)
+		c.depsNoteLocked(rec.ID)
 	case journal.EvPlatformDown:
+		// Degraded modules stay on the network: no token changes.
 		c.platformDown[rec.Platform] = true
 		for _, d := range c.deployments {
 			if d.Platform == rec.Platform && d.Status() == StatusActive {
@@ -131,12 +137,9 @@ func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
 		}
 	case journal.EvReject:
 		c.Rejections++
-		return
 	default:
 		// EvTerm: leadership bookkeeping lives in the journal state.
-		return
 	}
-	c.topologyChangedLocked()
 }
 
 // loadStateLocked replaces the controller's state with a folded
@@ -164,7 +167,10 @@ func (c *Controller) loadStateLocked(st *journal.State) error {
 	c.Rejections = st.Rejections
 	c.Migrations = st.Migrations
 	c.FailedMigrations = st.FailedMigrations
-	c.topologyChangedLocked()
+	c.deps = newDepTable(c.topo.Platforms())
+	for id := range deployments {
+		c.depsNoteLocked(id)
+	}
 	return nil
 }
 
@@ -319,12 +325,12 @@ func Restore(topo *topology.Topology, operatorPolicy string, opts Options, st *j
 			report.Failed = append(report.Failed, id)
 		case inv != nil && !inv.HasModule(d.Platform, d.Addr):
 			d.setStatus(StatusMigrating)
+			c.depsNoteLocked(id)
 			vanished = append(vanished, id)
 		default:
 			report.Reattached = append(report.Reattached, id)
 		}
 	}
-	c.topologyChangedLocked()
 	// Pass 2: placement-only recovery for vanished platforms. A module
 	// that fits nowhere is kept, failed: capacity may return.
 	for _, id := range vanished {

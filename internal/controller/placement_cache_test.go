@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -200,20 +201,27 @@ func BenchmarkWarmRedeploy(b *testing.B) {
 	}
 }
 
-// BenchmarkColdAdmit is one deploy-cold cycle in process: with 96
+// BenchmarkColdAdmit is one deploy-cold cycle in process: with N
 // modules resident, deploy a never-seen config, so every cache misses,
-// and kill it again.
+// and kill it again. N=96 is the deploy-cold workload's resident set;
+// 100, 300 and 500 trace how cold admission grows with the residents
+// (every policy flow that reaches a platform's demux is matched against
+// each module the platform hosts).
 func BenchmarkColdAdmit(b *testing.B) {
-	c := residentController(b, 96)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dep, err := c.Deploy(filterRequest(96 + i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := c.Kill(dep.ID); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{96, 100, 300, 500} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			c := residentController(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dep, err := c.Deploy(filterRequest(n + i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := c.Kill(dep.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

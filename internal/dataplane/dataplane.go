@@ -104,15 +104,24 @@ func (r *Runner) Measure(template *packet.Packet, n int) Result {
 	return res
 }
 
-// MeasureBest runs Measure trials times and returns the fastest run
-// (the standard way to strip scheduler noise from a CPU-bound
-// microbenchmark).
-func (r *Runner) MeasureBest(template *packet.Packet, n, trials int) Result {
-	var best Result
+// MeasureBest compares runners: it runs Measure trials times on each,
+// interleaved (every runner once per round, in reverse order every
+// other round), and returns each runner's fastest run. Taking the best
+// strips scheduler noise from a CPU-bound microbenchmark, and
+// interleaving spreads a burst of load from other processes over every
+// runner, so a comparison of the results does not hinge on which
+// runner happened to measure during the burst.
+func MeasureBest(template *packet.Packet, n, trials int, runners ...*Runner) []Result {
+	best := make([]Result, len(runners))
 	for i := 0; i < trials; i++ {
-		res := r.Measure(template, n)
-		if i == 0 || res.PPS > best.PPS {
-			best = res
+		for k := range runners {
+			j := k
+			if i%2 == 1 {
+				j = len(runners) - 1 - k
+			}
+			if res := runners[j].Measure(template, n); i == 0 || res.PPS > best[j].PPS {
+				best[j] = res
+			}
 		}
 	}
 	return best

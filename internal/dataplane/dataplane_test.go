@@ -53,10 +53,13 @@ func TestSandboxCostsMore(t *testing.T) {
 	}
 	// The chain mirrors replies to the sender, so the enforcer's
 	// implicit authorization passes them.
+	// Best of 21 short interleaved runs per arm: other packages' tests
+	// may load the CPUs, and a few samples per arm can all land in
+	// bursts of load.
 	p := UDPTemplate(64)
-	a := plain.Measure(p, 20000)
-	b := sandboxed.Measure(p, 20000)
-	if b.Transmitted != 20000 {
+	best := MeasureBest(p, 10000, 21, plain, sandboxed)
+	a, b := best[0], best[1]
+	if b.Transmitted != 10000 {
 		t.Fatalf("enforcer blocked traffic: transmitted = %d", b.Transmitted)
 	}
 	if b.NsPerPacket <= a.NsPerPacket*0.9 {

@@ -868,3 +868,20 @@ func TestDefaultsAccepted(t *testing.T) {
 		}
 	}
 }
+
+// A deny rule's matched branch is dropped, so refining it must cost
+// nothing: a deny-all filter allocates nothing beyond the state it is
+// given.
+func TestIPFilterDenyCostsNoClone(t *testing.T) {
+	fresh := testing.AllocsPerRun(50, func() { symexec.NewState() })
+	f := &IPFilter{}
+	configure(t, f, "deny all")
+	got := testing.AllocsPerRun(50, func() {
+		if trs := f.Sym(0, symexec.NewState()); len(trs) != 0 {
+			t.Fatalf("deny-all produced %d flows", len(trs))
+		}
+	}) - fresh
+	if got > 0 {
+		t.Errorf("deny all: %.0f allocations beyond the state, want 0", got)
+	}
+}

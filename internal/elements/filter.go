@@ -105,9 +105,10 @@ func (e *IPFilter) Sym(port int, s *symexec.State) []symexec.Transition {
 	for i := range e.rules {
 		var next []*symexec.State
 		for _, st := range pending {
-			matched := e.rules[i].spec.Refine(st.Clone())
+			// A deny rule's matched branch is dropped: refining it
+			// would only cost a clone.
 			if e.rules[i].allow {
-				for _, m := range matched {
+				for _, m := range e.rules[i].spec.Refine(st.Clone()) {
 					out = append(out, symexec.Transition{Port: 0, S: m})
 				}
 			}

@@ -13,6 +13,7 @@ package symexec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -22,7 +23,8 @@ type Interval struct {
 }
 
 // IntervalSet is an immutable, sorted, disjoint set of intervals. The
-// zero value is the empty set. All operations return new sets.
+// zero value is the empty set. Operations never modify their operands;
+// a result equal to an operand may share its storage.
 type IntervalSet struct {
 	iv []Interval
 }
@@ -42,9 +44,28 @@ func Span(lo, hi uint64) IntervalSet {
 }
 
 // Full returns the complete set for a field of the given bit width.
+// The widths of the standard fields return one shared set each: sets
+// are immutable, so a fresh symbolic packet allocates none.
 func Full(bits int) IntervalSet {
+	switch bits {
+	case 8:
+		return full8
+	case 16:
+		return full16
+	case 32:
+		return full32
+	case 64:
+		return full64
+	}
 	return Span(0, maxFor(bits))
 }
+
+var (
+	full8  = Span(0, maxFor(8))
+	full16 = Span(0, maxFor(16))
+	full32 = Span(0, maxFor(32))
+	full64 = Span(0, maxFor(64))
+)
 
 func maxFor(bits int) uint64 {
 	if bits >= 64 {
@@ -113,9 +134,21 @@ func (s IntervalSet) Min() (uint64, bool) {
 	return s.iv[0].Lo, true
 }
 
-// Intersect returns s ∩ t.
+// Intersect returns s ∩ t. It allocates at most once: a first pass
+// sizes the result, and when the result is one of the operands (one is
+// a subset of the other) that operand is returned as is — sets are
+// immutable, so sharing is safe.
 func (s IntervalSet) Intersect(t IntervalSet) IntervalSet {
-	var out []Interval
+	n, isS, isT := s.meet(t)
+	switch {
+	case n == 0:
+		return Empty
+	case isS:
+		return s
+	case isT:
+		return t
+	}
+	out := make([]Interval, 0, n)
 	i, j := 0, 0
 	for i < len(s.iv) && j < len(t.iv) {
 		a, b := s.iv[i], t.iv[j]
@@ -133,8 +166,38 @@ func (s IntervalSet) Intersect(t IntervalSet) IntervalSet {
 	return IntervalSet{iv: out}
 }
 
+// meet walks s ∩ t without building it: n is the number of intervals
+// in the result, and isS (isT) reports whether the result equals s (t).
+func (s IntervalSet) meet(t IntervalSet) (n int, isS, isT bool) {
+	isS, isT = true, true
+	i, j := 0, 0
+	for i < len(s.iv) && j < len(t.iv) {
+		a, b := s.iv[i], t.iv[j]
+		lo := max64(a.Lo, b.Lo)
+		hi := min64(a.Hi, b.Hi)
+		if lo <= hi {
+			r := Interval{lo, hi}
+			isS = isS && n < len(s.iv) && s.iv[n] == r
+			isT = isT && n < len(t.iv) && t.iv[n] == r
+			n++
+		}
+		if a.Hi < b.Hi {
+			i++
+		} else {
+			j++
+		}
+	}
+	return n, isS && n == len(s.iv), isT && n == len(t.iv)
+}
+
 // Union returns s ∪ t.
 func (s IntervalSet) Union(t IntervalSet) IntervalSet {
+	if len(t.iv) == 0 {
+		return s
+	}
+	if len(s.iv) == 0 {
+		return t
+	}
 	merged := make([]Interval, 0, len(s.iv)+len(t.iv))
 	i, j := 0, 0
 	for i < len(s.iv) || j < len(t.iv) {
@@ -162,7 +225,7 @@ func (s IntervalSet) Union(t IntervalSet) IntervalSet {
 // bit width.
 func (s IntervalSet) Complement(bits int) IntervalSet {
 	maxV := maxFor(bits)
-	var out []Interval
+	out := make([]Interval, 0, len(s.iv)+1)
 	next := uint64(0)
 	for _, iv := range s.iv {
 		if iv.Lo > maxV {
@@ -172,14 +235,83 @@ func (s IntervalSet) Complement(bits int) IntervalSet {
 			out = append(out, Interval{next, iv.Lo - 1})
 		}
 		if iv.Hi >= maxV {
-			return IntervalSet{iv: out}
+			return setOf(out)
 		}
 		next = iv.Hi + 1
 	}
 	if next <= maxV {
 		out = append(out, Interval{next, maxV})
 	}
-	return IntervalSet{iv: out}
+	return setOf(out)
+}
+
+// setOf wraps normalized intervals, mapping none to Empty.
+func setOf(ivs []Interval) IntervalSet {
+	if len(ivs) == 0 {
+		return Empty
+	}
+	return IntervalSet{iv: ivs}
+}
+
+// FromValues returns the set of the given values, in one pass when
+// they are sorted ascending (duplicates allowed); unsorted input is
+// sorted on a copy first.
+func FromValues(vs []uint64) IntervalSet {
+	if !slices.IsSorted(vs) {
+		vs = slices.Clone(vs)
+		slices.Sort(vs)
+	}
+	// starts reports whether vs[i] opens a new interval: it is neither
+	// a repeat of vs[i-1] nor adjacent to it.
+	starts := func(i int) bool {
+		return i == 0 || (vs[i-1] != ^uint64(0) && vs[i] > vs[i-1]+1)
+	}
+	n := 0
+	for i := range vs {
+		if starts(i) {
+			n++
+		}
+	}
+	out := make([]Interval, 0, n)
+	for i, v := range vs {
+		if starts(i) {
+			out = append(out, Interval{v, v})
+		} else {
+			out[len(out)-1].Hi = v
+		}
+	}
+	return setOf(out)
+}
+
+// Singles returns {vs[0]}, {vs[1]}, ...: the sets share one backing
+// array, so the whole slice costs two allocations.
+func Singles(vs []uint64) []IntervalSet {
+	ivs := make([]Interval, len(vs))
+	out := make([]IntervalSet, len(vs))
+	for i, v := range vs {
+		ivs[i] = Interval{v, v}
+		out[i] = IntervalSet{iv: ivs[i : i+1 : i+1]}
+	}
+	return out
+}
+
+// Cursor tests ascending values for membership in a set with one
+// forward walk over its intervals: n queries cost O(n + intervals).
+type Cursor struct {
+	s IntervalSet
+	k int
+}
+
+// Cursor returns a membership cursor at the start of s.
+func (s IntervalSet) Cursor() Cursor { return Cursor{s: s} }
+
+// Contains reports whether v is in the set. Each v must be at least
+// the one before it.
+func (c *Cursor) Contains(v uint64) bool {
+	for c.k < len(c.s.iv) && c.s.iv[c.k].Hi < v {
+		c.k++
+	}
+	return c.k < len(c.s.iv) && c.s.iv[c.k].Lo <= v
 }
 
 // Minus returns s \ t within the given bit width.
@@ -189,12 +321,14 @@ func (s IntervalSet) Minus(t IntervalSet, bits int) IntervalSet {
 
 // SubsetOf reports whether every value of s is in t.
 func (s IntervalSet) SubsetOf(t IntervalSet) bool {
-	return s.Intersect(t).Equal(s)
+	_, isS, _ := s.meet(t)
+	return isS
 }
 
 // Overlaps reports whether s ∩ t is non-empty.
 func (s IntervalSet) Overlaps(t IntervalSet) bool {
-	return !s.Intersect(t).IsEmpty()
+	n, _, _ := s.meet(t)
+	return n > 0
 }
 
 // Equal reports set equality.

@@ -215,6 +215,33 @@ type workItem struct {
 	s    *State
 }
 
+// fifo is Run's work queue; items[head:] are pending. A push that
+// would grow the array first slides the pending items to its front, so
+// the array grows with the flows in flight, not with all flows made.
+type fifo struct {
+	items []workItem
+	head  int
+}
+
+func (q *fifo) push(it workItem) {
+	if len(q.items) == cap(q.items) && q.head > 0 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, it)
+}
+
+func (q *fifo) pop() (workItem, bool) {
+	if q.head == len(q.items) {
+		return workItem{}, false
+	}
+	it := q.items[q.head]
+	q.items[q.head] = workItem{}
+	q.head++
+	return it, true
+}
+
 // Run performs symbolic reachability from the injection point,
 // breadth-first, splitting flows at every branching model. The FIFO
 // queue fixes the order of AtNode and Egress entries and the step at
@@ -244,11 +271,14 @@ func (n *Network) Run(inj Injection) (*Result, error) {
 		Visited: make(map[string]bool),
 		Dropped: make(map[string]int),
 	}
-	queue := []workItem{{node: inj.Node, port: inj.Port, s: st}}
+	var queue fifo
+	queue.push(workItem{node: inj.Node, port: inj.Port, s: st})
 	produced := 1
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
+	for {
+		it, ok := queue.pop()
+		if !ok {
+			break
+		}
 		if it.s.PathLen() >= maxHops {
 			res.Truncated = true
 			continue
@@ -284,7 +314,7 @@ func (n *Network) Run(inj Injection) (*Result, error) {
 				res.Truncated = true
 				return res, nil
 			}
-			queue = append(queue, workItem{node: tgt.Node, port: tgt.Port, s: tr.S})
+			queue.push(workItem{node: tgt.Node, port: tgt.Port, s: tr.S})
 		}
 	}
 	return res, nil

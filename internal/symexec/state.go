@@ -93,16 +93,67 @@ type Binding struct {
 }
 
 // env is shared by all states split from one injected packet: it
-// allocates fresh variable ids. A run explores on one goroutine, so
-// allocation needs no lock.
+// allocates fresh variable ids, and it hands out path nodes and
+// states from small slabs, so a run allocates per slab rather than per
+// hop or per branch. A run explores on one goroutine, so neither needs
+// a lock. Slabs double from a small first size: a short run does not
+// pay for a large slab, and a state or path node keeps only its own
+// slab alive.
 type env struct {
 	nextVar VarID
+	// nodes and states are the unused rest of the current slabs;
+	// nodeSlab and stateSlab are those slabs' sizes (0 before the
+	// first).
+	nodes     []pathNode
+	states    []State
+	nodeSlab  int
+	stateSlab int
 }
+
+// Slab sizes: the first slab of each kind, and the size at which
+// doubling stops.
+const (
+	firstNodeSlab  = 8
+	maxNodeSlab    = 256
+	firstStateSlab = 4
+	maxStateSlab   = 128
+)
 
 func (e *env) fresh() VarID {
 	id := e.nextVar
 	e.nextVar++
 	return id
+}
+
+// newNode returns a zeroed path node from the node slab.
+func (e *env) newNode() *pathNode {
+	if len(e.nodes) == 0 {
+		e.nodeSlab = nextSlab(e.nodeSlab, firstNodeSlab, maxNodeSlab)
+		e.nodes = make([]pathNode, e.nodeSlab)
+	}
+	n := &e.nodes[0]
+	e.nodes = e.nodes[1:]
+	return n
+}
+
+// newState returns a zeroed state from the state slab.
+func (e *env) newState() *State {
+	if len(e.states) == 0 {
+		e.stateSlab = nextSlab(e.stateSlab, firstStateSlab, maxStateSlab)
+		e.states = make([]State, e.stateSlab)
+	}
+	s := &e.states[0]
+	e.states = e.states[1:]
+	return s
+}
+
+// nextSlab doubles the last slab size, starting at first and stopping
+// at limit.
+func nextSlab(last, first, limit int) int {
+	if last == 0 {
+		return first
+	}
+	return min(2*last, limit)
 }
 
 // Hop records one node traversal in a state's path.
@@ -138,15 +189,21 @@ type varBinding struct {
 // State is one symbolic flow: field bindings, variable constraints
 // and the path traversed so far. Both tables are small sorted slices
 // rather than maps: a symbolic packet carries ~10 fields and a
-// similar number of live variables, so binary/linear probes win and —
-// decisive for admission throughput, where Clone dominated profiles —
-// cloning is two memmoves instead of two map rebuilds. IntervalSets
-// and path tails are immutable and shared.
+// similar number of live variables, so binary/linear probes win.
+// Clone shares both tables copy-on-write: a clone and its source mark
+// the tables shared, and the first write to a shared table copies it,
+// so a branch that is only read, or written in one table, never pays
+// for the other. IntervalSets and path tails are immutable and shared.
 type State struct {
 	env    *env
 	fields []fieldBinding // sorted by F
 	vars   []varBinding   // sorted by ID
 	path   *pathNode
+	// fieldsShared and varsShared mark a table another state may
+	// read: it must be copied before it is written. A state whose flag
+	// is clear owns that table alone.
+	fieldsShared bool
+	varsShared   bool
 	// Tag carries harness-specific context (e.g. requirement id).
 	Tag string
 }
@@ -166,13 +223,22 @@ func (s *State) findField(f Field) (int, bool) {
 	return lo, lo < len(s.fields) && s.fields[lo].F == f
 }
 
-// setField replaces or sort-inserts a binding.
+// setField replaces or sort-inserts a binding, first copying a
+// shared table. Clipping a shared table makes the insert reallocate,
+// so that copy is the insert's one allocation.
 func (s *State) setField(f Field, b Binding) {
-	if i, ok := s.findField(f); ok {
-		s.fields[i].B = b
-	} else {
+	i, ok := s.findField(f)
+	if !ok {
+		if s.fieldsShared {
+			s.fields, s.fieldsShared = slices.Clip(s.fields), false
+		}
 		s.fields = slices.Insert(s.fields, i, fieldBinding{F: f, B: b})
+		return
 	}
+	if s.fieldsShared {
+		s.fields, s.fieldsShared = slices.Clone(s.fields), false
+	}
+	s.fields[i].B = b
 }
 
 // peekField reads a binding without materializing the lazy default.
@@ -197,18 +263,22 @@ func (s *State) findVar(id VarID) (int, bool) {
 	return lo, lo < len(s.vars) && s.vars[lo].ID == id
 }
 
-// setVar replaces or sort-inserts a constraint. Fresh ids come from a
-// monotonic allocator, so the common insert is an append.
+// setVar replaces or sort-inserts a constraint, copying a shared
+// table first as setField does. Fresh ids come from a monotonic
+// allocator, so the common insert is an append.
 func (s *State) setVar(id VarID, iv IntervalSet) {
-	if n := len(s.vars); n == 0 || s.vars[n-1].ID < id {
-		s.vars = append(s.vars, varBinding{ID: id, IV: iv})
+	i, ok := s.findVar(id)
+	if !ok {
+		if s.varsShared {
+			s.vars, s.varsShared = slices.Clip(s.vars), false
+		}
+		s.vars = slices.Insert(s.vars, i, varBinding{ID: id, IV: iv})
 		return
 	}
-	if i, ok := s.findVar(id); ok {
-		s.vars[i].IV = iv
-	} else {
-		s.vars = slices.Insert(s.vars, i, varBinding{ID: id, IV: iv})
+	if s.varsShared {
+		s.vars, s.varsShared = slices.Clone(s.vars), false
 	}
+	s.vars[i].IV = iv
 }
 
 // peekVar reads a constraint entry.
@@ -223,8 +293,10 @@ func (s *State) peekVar(id VarID) (IntervalSet, bool) {
 // standard field is a fresh free variable, exactly like the symbolic
 // packet of the paper's Fig. 2 before any constraint applies.
 func NewState() *State {
-	s := &State{
-		env:    &env{},
+	e := &env{}
+	s := e.newState()
+	*s = State{
+		env:    e,
 		fields: make([]fieldBinding, 0, len(standardFields)+2),
 		vars:   make([]varBinding, 0, len(standardFields)+2),
 	}
@@ -237,14 +309,12 @@ func NewState() *State {
 }
 
 // Clone returns an independent copy sharing the variable allocator.
+// The copy shares both tables with s until either state writes one.
 func (s *State) Clone() *State {
-	return &State{
-		env:    s.env,
-		fields: slices.Clone(s.fields),
-		vars:   slices.Clone(s.vars),
-		path:   s.path,
-		Tag:    s.Tag,
-	}
+	s.fieldsShared, s.varsShared = true, true
+	c := s.env.newState()
+	*c = *s
+	return c
 }
 
 // Get returns the expression bound to field f. Standard header
@@ -346,7 +416,9 @@ func (s *State) PushHop(node string, port int) {
 	if s.path != nil {
 		depth = s.path.depth + 1
 	}
-	s.path = &pathNode{hop: Hop{Node: node, Port: port}, prev: s.path, depth: depth}
+	n := s.env.newNode()
+	*n = pathNode{hop: Hop{Node: node, Port: port}, prev: s.path, depth: depth}
+	s.path = n
 }
 
 // PathLen returns the number of hops traversed.

@@ -245,30 +245,72 @@ func lpmModel(routes []Route) symexec.Model {
 // pass-through port. Module addresses shadow the pass-through, exactly
 // like the OpenFlow rules the controller installs (§4.3).
 type demux struct {
-	addrs    []uint64 // branch i matches addrs[i]
-	notPool  symexec.IntervalSet
+	addrs    []uint64              // branch i matches addrs[i]; sorted
+	singles  []symexec.IntervalSet // singles[i] is {addrs[i]}
+	pass     symexec.IntervalSet   // outside the pool and no hosted address
 	passPort int
 	base     int
 }
 
-// Sym implements symexec.Model.
-func (d *demux) Sym(port int, s *symexec.State) []symexec.Transition {
-	var out []symexec.Transition
-	rest := s
-	for i, a := range d.addrs {
-		m := rest.Clone()
-		if m.Constrain(symexec.FieldDstIP, symexec.Single(a)) {
-			out = append(out, symexec.Transition{Port: d.base + i, S: m})
+// newDemux builds the demultiplexer for addresses sorted ascending
+// (one may repeat: only its first branch receives traffic). The
+// pass-through set is computed here, once per rewire, so Sym
+// constrains the pass-through branch once.
+func newDemux(addrs []uint64, notPool symexec.IntervalSet, passPort, base int) *demux {
+	// Hosted addresses normally lie in the pool, outside notPool: then
+	// there is nothing to take out of it.
+	pass, cur := notPool, notPool.Cursor()
+	for _, a := range addrs {
+		if cur.Contains(a) {
+			pass = notPool.Minus(symexec.FromValues(addrs), 32)
+			break
 		}
-		if !rest.Constrain(symexec.FieldDstIP, symexec.Single(a).Complement(32)) {
-			return out
+	}
+	return &demux{
+		addrs:    addrs,
+		singles:  symexec.Singles(addrs),
+		pass:     pass,
+		passPort: passPort,
+		base:     base,
+	}
+}
+
+// Sym implements symexec.Model in one pass over the addresses: it
+// reads the destination's value set once, clones the state only for
+// hosted addresses that set contains, and constrains the pass-through
+// branch once. Work is linear in the hosted addresses.
+func (d *demux) Sym(port int, s *symexec.State) []symexec.Transition {
+	vals := s.Values(symexec.FieldDstIP)
+	n, cur := 0, vals.Cursor()
+	for i := range d.addrs {
+		if d.hit(&cur, i) {
+			n++
+		}
+	}
+	var out []symexec.Transition
+	if n > 0 {
+		out = make([]symexec.Transition, 0, n+1)
+		cur = vals.Cursor()
+		for i := range d.addrs {
+			if d.hit(&cur, i) {
+				m := s.Clone()
+				m.Constrain(symexec.FieldDstIP, d.singles[i])
+				out = append(out, symexec.Transition{Port: d.base + i, S: m})
+			}
 		}
 	}
 	// Unassigned pool addresses die here.
-	if d.passPort >= 0 && rest.Constrain(symexec.FieldDstIP, d.notPool) {
-		out = append(out, symexec.Transition{Port: d.passPort, S: rest})
+	if d.passPort >= 0 && s.Constrain(symexec.FieldDstIP, d.pass) {
+		out = append(out, symexec.Transition{Port: d.passPort, S: s})
 	}
 	return out
+}
+
+// hit reports whether branch i receives traffic from a state whose
+// destination values cur walks: its address is one of them and is not
+// a repeat of branch i-1's, which took that traffic first.
+func (d *demux) hit(cur *symexec.Cursor, i int) bool {
+	return (i == 0 || d.addrs[i-1] != d.addrs[i]) && cur.Contains(d.addrs[i])
 }
 
 // Label implements symexec.Labeled: the hosted addresses in branch

@@ -297,5 +297,5 @@ func (p *platformDemux) model() *demux {
 	for i, h := range p.hosted {
 		addrs[i] = uint64(h.Addr)
 	}
-	return &demux{addrs: addrs, notPool: p.notPool, passPort: p.passPort, base: p.base}
+	return newDemux(addrs, p.notPool, p.passPort, p.base)
 }
