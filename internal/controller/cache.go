@@ -269,21 +269,33 @@ func (c *Controller) depsLocked() *depTable {
 // elements) produce no token — the topology is immutable for a
 // controller's lifetime; only the deployment set changes.
 func (c *Controller) depsFor(env *policy.CheckEnv, t *depTable) map[string]string {
-	deps := make(map[string]string)
+	// A check visits many nodes per platform: gather the platforms
+	// first, so each platform's token key is built once.
+	var buf [8]string
+	platforms := buf[:0]
 	for node := range env.Visited {
 		base := node
 		if i := strings.IndexByte(node, '/'); i >= 0 {
 			base = node[:i]
 		}
+		pl := ""
 		if n := c.topo.Node(base); n != nil {
-			if n.Kind == topology.KindPlatform {
-				deps["pf:"+base] = t.pf[base]
+			if n.Kind != topology.KindPlatform {
+				continue // static topology node
 			}
-			continue // static topology node
+			pl = base
+		} else if m := env.Map.Module(base); m != nil {
+			pl = m.Platform
+		} else {
+			continue
 		}
-		if m := env.Map.Module(base); m != nil {
-			deps["pf:"+m.Platform] = t.pf[m.Platform]
+		if !slices.Contains(platforms, pl) {
+			platforms = append(platforms, pl)
 		}
+	}
+	deps := make(map[string]string)
+	for _, pl := range platforms {
+		deps["pf:"+pl] = t.pf[pl]
 	}
 	for name := range env.RefNames {
 		deps["mod:"+name] = t.mods[name]
