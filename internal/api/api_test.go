@@ -265,8 +265,8 @@ func TestDeployTimeoutMapsTo503AndRollsBack(t *testing.T) {
 	if live := len(ctl.Deployments()); live != 0 {
 		t.Fatalf("late deployment not rolled back: %d live", live)
 	}
-	if ctl.Placed != 1 {
-		t.Errorf("Placed = %d, want 1 (worker did place before rollback)", ctl.Placed)
+	if n := ctl.State().Placed; n != 1 {
+		t.Errorf("Placed = %d, want 1 (worker did place before rollback)", n)
 	}
 }
 

@@ -64,57 +64,15 @@ func replBenchRequest(i int) controller.Request {
 	}
 }
 
-// measureFailoverOnce boots a fresh replicated pair, warms it with
-// real deployments, kills the leader and polls the standby with the
-// next deployment until it is admitted. Returns kill-to-admission.
-func measureFailoverOnce(opts faults.ReplPairOptions, warm int) (time.Duration, error) {
-	ldir, err := os.MkdirTemp("", "innet-bench-leader-")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(ldir)
-	sdir, err := os.MkdirTemp("", "innet-bench-standby-")
-	if err != nil {
-		return 0, err
-	}
-	defer os.RemoveAll(sdir)
-	opts.LeaderDir, opts.StandbyDir = ldir, sdir
-
-	p, err := faults.NewReplPair(opts)
-	if err != nil {
-		return 0, err
-	}
-	defer p.Close()
-
-	// Warm deployments replicate synchronously, so by the kill the
-	// standby is a fully-admitted warm replica — the deployment the
-	// paper's failover story depends on.
-	for i := 0; i < warm; i++ {
-		if _, err := p.A.Ctl.Deploy(replBenchRequest(i)); err != nil {
-			return 0, fmt.Errorf("warm deploy %d: %w", i, err)
-		}
-	}
-
-	kill := time.Now()
-	p.CrashLeader()
-	req := replBenchRequest(warm)
-	deadline := kill.Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := p.B.Ctl.Deploy(req); err == nil {
-			return time.Since(kill), nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return 0, fmt.Errorf("standby never admitted a deploy within 30s of the kill")
-}
-
-// measureQuorumFailoverOnce boots a fresh 3-replica group, warms it,
-// kills the leader and polls both survivors with the next deployment
-// until the elected successor admits it. Returns kill-to-admission —
-// detection, the vote round, and the first admission, end to end.
-func measureQuorumFailoverOnce(opts faults.ReplGroupOptions, warm int) (time.Duration, error) {
-	for i := 0; i < 3; i++ {
-		dir, err := os.MkdirTemp("", fmt.Sprintf("innet-bench-quorum%d-", i))
+// measureFailoverOnce boots a fresh group of n replicas (n = 2 is the
+// leader/standby pair, n = 3 elects a successor by majority vote),
+// warms it with real deployments, kills the leader and polls every
+// survivor with the next deployment until one admits it. Returns
+// kill-to-admission: detection, any vote round, and the first
+// admission, end to end.
+func measureFailoverOnce(opts faults.ReplGroupOptions, n, warm int) (time.Duration, error) {
+	for i := 0; i < n; i++ {
+		dir, err := os.MkdirTemp("", fmt.Sprintf("innet-bench-repl%d-", i))
 		if err != nil {
 			return 0, err
 		}
@@ -127,6 +85,9 @@ func measureQuorumFailoverOnce(opts faults.ReplGroupOptions, warm int) (time.Dur
 	}
 	defer g.Close()
 
+	// Warm deployments replicate synchronously, so by the kill a
+	// successor holds every one of them as a fully-admitted warm
+	// replica — the deployment the paper's failover story depends on.
 	for i := 0; i < warm; i++ {
 		if _, err := g.Nodes[0].Ctl.Deploy(replBenchRequest(i)); err != nil {
 			return 0, fmt.Errorf("warm deploy %d: %w", i, err)
@@ -138,8 +99,8 @@ func measureQuorumFailoverOnce(opts faults.ReplGroupOptions, warm int) (time.Dur
 	req := replBenchRequest(warm)
 	deadline := kill.Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, i := range []int{1, 2} {
-			if _, err := g.Nodes[i].Ctl.Deploy(req); err == nil {
+		for _, node := range g.Nodes[1:] {
+			if _, err := node.Ctl.Deploy(req); err == nil {
 				return time.Since(kill), nil
 			}
 		}
@@ -149,17 +110,18 @@ func measureQuorumFailoverOnce(opts faults.ReplGroupOptions, warm int) (time.Dur
 }
 
 // ReplicationMeasure runs the failover trials. Each trial gets a
-// fresh pair (a leader kill is not repeatable within one).
+// fresh group (a leader kill is not repeatable within one).
 func ReplicationMeasure(quick bool) *ReplicationResult {
 	trials, warm := 5, 3
 	if quick {
 		trials, warm = 3, 2
 	}
-	opts := faults.ReplPairOptions{
-		AckTimeout:     500 * time.Millisecond,
-		FailoverAfter:  150 * time.Millisecond,
-		HeartbeatEvery: 20 * time.Millisecond,
-		RedialEvery:    10 * time.Millisecond,
+	opts := faults.ReplGroupOptions{
+		AckTimeout:      500 * time.Millisecond,
+		FailoverAfter:   150 * time.Millisecond,
+		ElectionTimeout: 200 * time.Millisecond,
+		HeartbeatEvery:  20 * time.Millisecond,
+		RedialEvery:     10 * time.Millisecond,
 	}
 	r := &ReplicationResult{
 		HeartbeatEveryMs: float64(opts.HeartbeatEvery) / float64(time.Millisecond),
@@ -170,7 +132,7 @@ func ReplicationMeasure(quick bool) *ReplicationResult {
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 	}
 	for i := 0; i < trials; i++ {
-		d, err := measureFailoverOnce(opts, warm)
+		d, err := measureFailoverOnce(opts, 2, warm)
 		if err != nil {
 			panic(fmt.Sprintf("replication bench trial %d: %v", i, err))
 		}
@@ -182,15 +144,8 @@ func ReplicationMeasure(quick bool) *ReplicationResult {
 	r.FailoverMsMedian = sorted[len(sorted)/2]
 	r.FailoverMsMax = sorted[len(sorted)-1]
 
-	gopts := faults.ReplGroupOptions{
-		AckTimeout:      opts.AckTimeout,
-		FailoverAfter:   opts.FailoverAfter,
-		ElectionTimeout: 200 * time.Millisecond,
-		HeartbeatEvery:  opts.HeartbeatEvery,
-		RedialEvery:     opts.RedialEvery,
-	}
 	for i := 0; i < trials; i++ {
-		d, err := measureQuorumFailoverOnce(gopts, warm)
+		d, err := measureFailoverOnce(opts, 3, warm)
 		if err != nil {
 			panic(fmt.Sprintf("quorum failover bench trial %d: %v", i, err))
 		}

@@ -291,11 +291,13 @@ type Controller struct {
 	topo *topology.Topology
 	// operatorPolicy must hold before and after every placement.
 	operatorPolicy []*policy.Requirement
-	deployments    map[string]*Deployment
-	nextID         int
-	// platformDown tracks platform health; down platforms are skipped
-	// by placement and trigger failover of their modules.
-	platformDown map[string]bool
+	// state is the journal's fold of every record the controller
+	// applied: deployment records, platform health, the ID counter and
+	// the decision counters. deployments is its runtime side-table —
+	// each record's parsed module, security report, digest and atomic
+	// status — kept in step by applyLocked (see persist.go).
+	state       *journal.State
+	deployments map[string]*Deployment
 	// journal receives one record per state transition (nil = no
 	// persistence); journalErr remembers the first best-effort
 	// append that failed.
@@ -326,13 +328,6 @@ type Controller struct {
 	// rec, when set, receives flight-recorder events for platform
 	// health flips, failovers and cache invalidations.
 	rec *telemetry.Recorder
-
-	// Placed, Rejections count controller decisions.
-	Placed     int
-	Rejections int
-	// Migrations and FailedMigrations count failover outcomes.
-	Migrations       int
-	FailedMigrations int
 }
 
 // New builds a controller for the given operator topology and policy
@@ -348,13 +343,13 @@ func NewWithOptions(topo *topology.Topology, operatorPolicy string, opts Options
 		cacheSize = DefaultAdmissionCache
 	}
 	c := &Controller{
-		opts:         opts,
-		topo:         topo,
-		deployments:  make(map[string]*Deployment),
-		platformDown: make(map[string]bool),
-		cache:        symexec.NewCache(cacheSize), // nil (disabled) when cacheSize < 0
-		deps:         newDepTable(topo.Platforms()),
-		snap:         topo.NewSnapshot(),
+		opts:        opts,
+		topo:        topo,
+		state:       journal.NewState(),
+		deployments: make(map[string]*Deployment),
+		cache:       symexec.NewCache(cacheSize), // nil (disabled) when cacheSize < 0
+		deps:        newDepTable(topo.Platforms()),
+		snap:        topo.NewSnapshot(),
 	}
 	if strings.TrimSpace(operatorPolicy) != "" {
 		reqs, err := policy.ParseAll(operatorPolicy)
@@ -497,7 +492,7 @@ func (c *Controller) placeLocked(req Request, rec *journal.DeploymentRecord) (*D
 	steps, deadline := c.opts.admissionBudget()
 	var lastReason string
 	for _, pl := range c.topo.Platforms() {
-		if c.platformDown[pl] {
+		if c.state.PlatformDown[pl] {
 			lastReason = fmt.Sprintf("platform %s is down", pl)
 			continue
 		}
@@ -679,7 +674,7 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 
 	// A live placement takes the next ID (placedRecord journals it as
 	// used); recovery keeps the journaled one.
-	id := fmt.Sprintf("pm-%d", c.nextID+1)
+	id := fmt.Sprintf("pm-%d", c.state.NextID+1)
 	if rec != nil {
 		id = rec.ID
 	}
@@ -851,7 +846,7 @@ func (c *Controller) PlatformHealth() map[string]bool {
 	defer c.mu.Unlock()
 	out := make(map[string]bool)
 	for _, pl := range c.topo.Platforms() {
-		out[pl] = !c.platformDown[pl]
+		out[pl] = !c.state.PlatformDown[pl]
 	}
 	return out
 }
@@ -1045,6 +1040,15 @@ func (c *Controller) Deployments() []*Deployment {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// State returns a copy of the controller's folded journal state: its
+// deployment records, platform health, ID counter and decision
+// counters (Placed, Rejections, Migrations, FailedMigrations).
+func (c *Controller) State() *journal.State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.state.Clone()
 }
 
 // Get returns a deployment by ID.

@@ -73,8 +73,8 @@ func TestDeployBatcherPicksPlatform3(t *testing.T) {
 	if dep.Timings.Compile <= 0 || dep.Timings.Check <= 0 {
 		t.Errorf("timings not recorded: %+v", dep.Timings)
 	}
-	if c.Placed != 1 {
-		t.Errorf("Placed = %d", c.Placed)
+	if n := c.State().Placed; n != 1 {
+		t.Errorf("Placed = %d", n)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestUnsatisfiableRequirementRejected(t *testing.T) {
 	if _, ok := err.(*RejectionError); !ok {
 		t.Errorf("error type %T", err)
 	}
-	if c.Rejections != 1 {
-		t.Errorf("Rejections = %d", c.Rejections)
+	if n := c.State().Rejections; n != 1 {
+		t.Errorf("Rejections = %d", n)
 	}
 }
 

@@ -83,8 +83,8 @@ func TestFailoverMigratesPreservingID(t *testing.T) {
 	if nd.Status() != StatusActive {
 		t.Errorf("migrated status = %s", nd.Status())
 	}
-	if c.Migrations != 1 {
-		t.Errorf("Migrations = %d", c.Migrations)
+	if n := c.State().Migrations; n != 1 {
+		t.Errorf("Migrations = %d", n)
 	}
 }
 
@@ -107,8 +107,8 @@ func TestFailoverReverifiesAndFailsWhenNoSafeAlternate(t *testing.T) {
 	if failed[0].Status() != StatusFailed {
 		t.Errorf("status = %s", failed[0].Status())
 	}
-	if c.FailedMigrations != 1 {
-		t.Errorf("FailedMigrations = %d", c.FailedMigrations)
+	if n := c.State().FailedMigrations; n != 1 {
+		t.Errorf("FailedMigrations = %d", n)
 	}
 	// The failed deployment keeps its ID (visible, diagnosable) but no
 	// longer counts as hosted on any platform.

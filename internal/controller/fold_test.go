@@ -2,24 +2,32 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/in-net/innet/internal/journal"
 	"github.com/in-net/innet/internal/topology"
 )
 
-// The controller has one transition function (applyLocked) behind
-// three callers: the live mutators, the standby's ApplyRecord and the
-// state loader Restore and ResetToState share. FuzzControllerFold
-// drives mutationScript against a journaled leader and checks that
-// every path to controller state agrees with the journal's own fold
-// (journal.State.Apply, the independent oracle):
+// The controller has one transition function (applyLocked: the
+// journal's own fold, journal.State.Apply, plus a mirror into the
+// runtime side-table) behind three callers: the live mutators, the
+// standby's ApplyRecord and the state loader Restore and ResetToState
+// share. FuzzControllerFold drives mutationScript, with the
+// health-only ops that leave deployments degraded, against a journaled
+// leader and checks every path to controller state against the
+// store's fold:
 //
 //   - the leader itself,
 //   - a twin fed each appended record through ApplyRecord,
 //   - a controller after ResetToState(store.State()),
-//   - Restore(..., store.State(), nil, nil),
-//   - store.State().
+//   - Restore(..., store.State(), nil, nil).
+//
+// Each controller's State() must equal store.State(), and its
+// side-table must hold exactly the state's deployment IDs, each
+// rendering (depRecord) to the state's record.
 
 // foldHarness is a journaled leader whose records are teed into a
 // standby twin.
@@ -59,25 +67,8 @@ func (j teeJournal) Append(r journal.Record) error {
 	return nil
 }
 
-// foldState projects a controller's state onto journal.State so it
-// compares byte for byte with the journal's fold.
-func foldState(c *Controller) *journal.State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := journal.NewState()
-	for id, d := range c.deployments {
-		st.Deployments[id] = depRecord(d)
-	}
-	for name, down := range c.platformDown {
-		st.PlatformDown[name] = down
-	}
-	st.NextID = c.nextID
-	st.Placed, st.Rejections = c.Placed, c.Rejections
-	st.Migrations, st.FailedMigrations = c.Migrations, c.FailedMigrations
-	return st
-}
-
-// checkFold asserts the five views of h's history are identical.
+// checkFold asserts the four controllers of h's history agree with
+// the journal's fold, state and side-table alike.
 func checkFold(t *testing.T, h *foldHarness) {
 	t.Helper()
 	st := h.store.State()
@@ -98,10 +89,38 @@ func checkFold(t *testing.T, h *foldHarness) {
 		name string
 		c    *Controller
 	}{{"leader", h.leader}, {"ApplyRecord twin", h.twin}, {"ResetToState", reset}, {"Restore", restored}} {
-		if got := foldState(v.c).Canonical(); !bytes.Equal(got, want) {
+		if got := v.c.State().Canonical(); !bytes.Equal(got, want) {
 			t.Errorf("%s state differs from the journal fold:\n--- journal ---\n%s\n--- %s ---\n%s", v.name, want, v.name, got)
 		}
+		if diff := sideTableDiff(v.c); diff != "" {
+			t.Errorf("%s side-table differs from its own state:\n%s", v.name, diff)
+		}
 	}
+}
+
+// sideTableDiff lists where c's runtime side-table departs from its
+// folded state: an ID only one of them holds, or an entry that renders
+// to a record other than the state's.
+func sideTableDiff(c *Controller) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var b strings.Builder
+	for _, id := range c.state.IDs() {
+		d, ok := c.deployments[id]
+		if !ok {
+			fmt.Fprintf(&b, "%s: in the state only\n", id)
+			continue
+		}
+		if got, want := *depRecord(d), *c.state.Deployments[id]; !reflect.DeepEqual(got, want) {
+			fmt.Fprintf(&b, "%s: side-table %+v, state %+v\n", id, got, want)
+		}
+	}
+	for id := range c.deployments {
+		if _, ok := c.state.Deployments[id]; !ok {
+			fmt.Fprintf(&b, "%s: in the side-table only\n", id)
+		}
+	}
+	return b.String()
 }
 
 func FuzzControllerFold(f *testing.F) {
@@ -110,7 +129,7 @@ func FuzzControllerFold(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, ops uint8) {
 		h := newFoldHarness(t)
-		mutationScript(h.leader, seed, int(ops))
+		mutationScriptOps(h.leader, seed, int(ops), true, nil)
 		checkFold(t, h)
 	})
 }
@@ -135,4 +154,56 @@ func TestRetryFailedReusesOwnAddress(t *testing.T) {
 		t.Fatalf("retry = %+v, want %s back on %s at its own address %d", got, dep.ID, dep.Platform, dep.Addr)
 	}
 	checkFold(t, h)
+}
+
+// Loading a state is all or nothing: one record whose config does not
+// build fails ResetToState and Restore, and the live controller keeps
+// exactly what it had — the same state and the same deployments, each
+// with its status.
+func TestLoadStateIsAllOrNothing(t *testing.T) {
+	h := newFoldHarness(t)
+	mutationScriptOps(h.leader, 5, 24, true, nil)
+	c := h.twin
+	if len(c.Deployments()) == 0 {
+		t.Fatal("script left no deployments to keep")
+	}
+	wantState := c.State().Canonical()
+	wantDeps := c.Deployments()
+	wantStatus := make([]DeploymentStatus, len(wantDeps))
+	for i, d := range wantDeps {
+		wantStatus[i] = d.Status()
+	}
+
+	st := h.store.State()
+	st.Deployments["pm-999"] = &journal.DeploymentRecord{
+		ID: "pm-999", ModuleName: "broken", Platform: "Platform1", Addr: 1,
+		Config: "in :: NoSuchElement();", Status: journal.StatusActive,
+	}
+	st.NextID = 999
+	if err := c.ResetToState(st); err == nil {
+		t.Error("ResetToState loaded a record whose config does not build")
+	}
+	topo, err := topology.PaperFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc, _, err := Restore(topo, operatorHTTPPolicy, Options{}, st, nil, nil); err == nil || rc != nil {
+		t.Errorf("Restore = %v, %v; want no controller and the build error", rc, err)
+	}
+
+	if got := c.State().Canonical(); !bytes.Equal(got, wantState) {
+		t.Errorf("failed ResetToState changed the state:\n--- before ---\n%s\n--- after ---\n%s", wantState, got)
+	}
+	got := c.Deployments()
+	if len(got) != len(wantDeps) {
+		t.Fatalf("failed ResetToState left %d deployments, want %d", len(got), len(wantDeps))
+	}
+	for i, d := range got {
+		if d != wantDeps[i] || d.Status() != wantStatus[i] {
+			t.Errorf("deployment %d is %s (%s), want the same %s (%s)", i, d.ID, d.Status(), wantDeps[i].ID, wantStatus[i])
+		}
+	}
+	if diff := sideTableDiff(c); diff != "" {
+		t.Errorf("side-table differs from the state after a failed load:\n%s", diff)
+	}
 }

@@ -64,6 +64,19 @@ func mutationScript(c *Controller, seed uint64, ops int) string {
 // mutationScriptEach is mutationScript calling after (when non-nil)
 // once each op has run.
 func mutationScriptEach(c *Controller, seed uint64, ops int, after func(op int)) string {
+	return mutationScriptOps(c, seed, ops, false, after)
+}
+
+// mutationScriptOps is mutationScriptEach that, with healthOnly, also
+// draws two ops the plain stream never takes: a platform outage with no
+// failover, which leaves its deployments degraded, and a recovery of a
+// platform that hosts degraded deployments, with no retry. Without
+// healthOnly it draws exactly mutationScriptEach's stream.
+func mutationScriptOps(c *Controller, seed uint64, ops int, healthOnly bool, after func(op int)) string {
+	kinds := 6
+	if healthOnly {
+		kinds = 8
+	}
 	rng := rand.New(rand.NewSource(int64(seed)))
 	platforms := []string{"Platform1", "Platform2", "Platform3"}
 	names := []string{"Batcher", "mirror", "spoof"}
@@ -99,7 +112,7 @@ func mutationScriptEach(c *Controller, seed uint64, ops int, after func(op int))
 		return nil
 	}
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(kinds) {
 		case 0, 1: // deploy (weighted: mutations need material)
 			name := names[rng.Intn(len(names))]
 			dep, err := c.Deploy(request(name))
@@ -136,6 +149,23 @@ func mutationScriptEach(c *Controller, seed uint64, ops int, after func(op int))
 				break
 			}
 			fmt.Fprintf(&b, "%d query: satisfied=%t reason=%q\n", i, res.Satisfied, res.Reason)
+		case 6: // outage, no failover
+			pf := platforms[rng.Intn(len(platforms))]
+			fmt.Fprintf(&b, "%d down %s: affected=%d\n", i, pf, len(c.MarkPlatformDown(pf)))
+		case 7: // recovery of a platform with degraded deployments, no retry
+			pf := ""
+			for _, d := range c.Deployments() {
+				if d.Status() == StatusDegraded {
+					pf = d.Platform
+					break
+				}
+			}
+			if pf == "" {
+				fmt.Fprintf(&b, "%d up: nothing degraded\n", i)
+				break
+			}
+			c.MarkPlatformUp(pf)
+			fmt.Fprintf(&b, "%d up %s\n", i, pf)
 		}
 		if after != nil {
 			after(i)

@@ -58,7 +58,7 @@ func (c *Controller) JournalErr() error {
 func (c *Controller) commitLocked(rec journal.Record, d *Deployment) error {
 	// Stamp the ID counter so a recovered controller never reissues a
 	// deployment ID.
-	rec.NextID = max(rec.NextID, c.nextID)
+	rec.NextID = max(rec.NextID, c.state.NextID)
 	if c.journal != nil {
 		writeAhead := rec.Type == journal.EvAdmit || rec.Type == journal.EvKill
 		var err error
@@ -83,69 +83,56 @@ func (c *Controller) commitLocked(rec journal.Record, d *Deployment) error {
 // old ID but still consumes pm-N — so NextID counts it; a recovery
 // re-placement uses none and commits a plain record instead.
 func (c *Controller) placedRecord(typ journal.EventType, d *Deployment) journal.Record {
-	return journal.Record{Type: typ, Dep: depRecord(d), NextID: c.nextID + 1}
+	return journal.Record{Type: typ, Dep: depRecord(d), NextID: c.state.NextID + 1}
 }
 
 // applyLocked is the controller's transition function: what one
 // journal record does to the in-memory state. The live mutators (after
 // commitLocked's append), the standby (ApplyRecord) and restart
-// recovery all go through it, and it mirrors journal.State.Apply —
-// the on-disk fold the tests use as the oracle. d is the deployment
-// an EvAdmit/EvMigrate installs: the one the leader just placed, or
-// one rebuilt from the record.
+// recovery all go through it. The record folds into c.state through
+// journal.State.Apply, the one fold of the journal; the rest mirrors
+// that fold into the runtime side-table. d is the deployment an
+// EvAdmit/EvMigrate installs: the one the leader just placed, or one
+// rebuilt from the record. A record touches the deployment it carries,
+// the one its ID names, or every deployment on its platform.
 func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
-	if rec.NextID > c.nextID {
-		c.nextID = rec.NextID
+	c.state.Apply(rec)
+	if d != nil {
+		c.deployments[d.ID] = d
+		c.mirrorLocked(d.ID)
 	}
-	switch rec.Type {
-	case journal.EvAdmit:
-		c.deployments[d.ID] = d
-		c.depsNoteLocked(d.ID)
-		c.Placed++
-	case journal.EvMigrate:
-		c.deployments[d.ID] = d
-		c.depsNoteLocked(d.ID)
-		c.Migrations++
-	case journal.EvMigrateFailed:
-		if d, ok := c.deployments[rec.ID]; ok {
-			d.setStatus(StatusFailed)
-			c.depsNoteLocked(rec.ID)
-		}
-		c.FailedMigrations++
-	case journal.EvStatus:
-		if d, ok := c.deployments[rec.ID]; ok {
-			d.setStatus(parseStatus(rec.Status))
-			c.depsNoteLocked(rec.ID)
-		}
-	case journal.EvKill:
-		delete(c.deployments, rec.ID)
-		c.depsNoteLocked(rec.ID)
-	case journal.EvPlatformDown:
-		// Degraded modules stay on the network: no token changes.
-		c.platformDown[rec.Platform] = true
-		for _, d := range c.deployments {
-			if d.Platform == rec.Platform && d.Status() == StatusActive {
-				d.setStatus(StatusDegraded)
+	if rec.ID != "" {
+		c.mirrorLocked(rec.ID)
+	}
+	if rec.Platform != "" {
+		for id, hd := range c.deployments {
+			if hd.Platform == rec.Platform {
+				c.mirrorLocked(id)
 			}
 		}
-	case journal.EvPlatformUp:
-		delete(c.platformDown, rec.Platform)
-		for _, d := range c.deployments {
-			if d.Platform == rec.Platform && d.Status() == StatusDegraded {
-				d.setStatus(StatusActive)
-			}
-		}
-	case journal.EvReject:
-		c.Rejections++
-	default:
-		// EvTerm: leadership bookkeeping lives in the journal state.
 	}
+}
+
+// mirrorLocked brings deployment id's side-table entry in line with
+// its record in c.state: the record's status, or no entry once the
+// record is gone. An ID that neither holds (EvReject names a module,
+// not a deployment) changes nothing. StatusMigrating is never
+// journaled: it lives only in the side-table, inside one locked
+// Failover, RetryFailed or Restore.
+func (c *Controller) mirrorLocked(id string) {
+	if r, ok := c.state.Deployments[id]; !ok {
+		delete(c.deployments, id)
+	} else if d := c.deployments[id]; d != nil {
+		d.setStatus(parseStatus(r.Status))
+	}
+	c.depsNoteLocked(id)
 }
 
 // loadStateLocked replaces the controller's state with a folded
 // journal state: the bulk form of applyLocked, shared by ResetToState
 // (standby snapshot resync) and Restore (restart recovery). It runs no
-// placement and journals nothing; on error nothing changes.
+// placement and journals nothing. Every side-table entry is rebuilt
+// before the state is adopted, so on error nothing changes.
 func (c *Controller) loadStateLocked(st *journal.State) error {
 	deployments := make(map[string]*Deployment, len(st.Deployments))
 	for _, id := range st.IDs() {
@@ -155,18 +142,8 @@ func (c *Controller) loadStateLocked(st *journal.State) error {
 		}
 		deployments[id] = d
 	}
+	c.state = st.Clone()
 	c.deployments = deployments
-	c.platformDown = make(map[string]bool)
-	for name, down := range st.PlatformDown {
-		if down {
-			c.platformDown[name] = true
-		}
-	}
-	c.nextID = st.NextID
-	c.Placed = st.Placed
-	c.Rejections = st.Rejections
-	c.Migrations = st.Migrations
-	c.FailedMigrations = st.FailedMigrations
 	c.deps = newDepTable(c.topo.Platforms())
 	for id := range deployments {
 		c.depsNoteLocked(id)

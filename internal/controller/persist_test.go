@@ -112,11 +112,11 @@ func TestRestoreRebuildsIdenticalState(t *testing.T) {
 	if len(rep.Reattached) != 3 || len(rep.Replaced) != 0 || len(rep.Failed) != 0 {
 		t.Errorf("recovery report: %+v", rep)
 	}
-	if rc.Placed != c.Placed || rc.Rejections != c.Rejections ||
-		rc.Migrations != c.Migrations || rc.FailedMigrations != c.FailedMigrations {
+	if w, g := c.State(), rc.State(); g.Placed != w.Placed || g.Rejections != w.Rejections ||
+		g.Migrations != w.Migrations || g.FailedMigrations != w.FailedMigrations {
 		t.Errorf("counters differ: want %d/%d/%d/%d got %d/%d/%d/%d",
-			c.Placed, c.Rejections, c.Migrations, c.FailedMigrations,
-			rc.Placed, rc.Rejections, rc.Migrations, rc.FailedMigrations)
+			w.Placed, w.Rejections, w.Migrations, w.FailedMigrations,
+			g.Placed, g.Rejections, g.Migrations, g.FailedMigrations)
 	}
 	if _, ok := rc.Get("pm-2"); ok {
 		t.Error("killed pm-2 resurrected by recovery")
@@ -170,8 +170,8 @@ func TestRestoreReplacesVanishedPlatform(t *testing.T) {
 	if r1.Platform == r2.Platform && r1.Addr == r2.Addr {
 		t.Errorf("recovery double-allocated %s addr %d", r1.Platform, r1.Addr)
 	}
-	if rc.Migrations != c.Migrations+1 {
-		t.Errorf("Migrations = %d, want %d", rc.Migrations, c.Migrations+1)
+	if g, w := rc.State().Migrations, c.State().Migrations+1; g != w {
+		t.Errorf("Migrations = %d, want %d", g, w)
 	}
 	// The re-placement was journaled: a second recovery round-trips.
 	rc2, rep2, _ := restoreFrom(t, dir, nil)
@@ -284,8 +284,8 @@ func TestAdmissionBudgetRejectsNotHangs(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("budgeted deploy took %v", elapsed)
 	}
-	if c.Rejections != 1 {
-		t.Errorf("Rejections = %d", c.Rejections)
+	if n := c.State().Rejections; n != 1 {
+		t.Errorf("Rejections = %d", n)
 	}
 	// ErrBudget must be detectable for API mapping.
 	if !errors.Is(fmt.Errorf("wrap: %w", symexec.ErrBudget), symexec.ErrBudget) {

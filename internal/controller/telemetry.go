@@ -70,16 +70,16 @@ func (c *Controller) AttachTelemetry(r *telemetry.Registry, tr *telemetry.Tracer
 	// in-flight admission, never the other way around.
 	r.CounterFunc("innet_controller_placed_total",
 		"Requests admitted and placed.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.Placed) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.state.Placed) })
 	r.CounterFunc("innet_controller_rejections_total",
 		"Requests rejected by admission.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.Rejections) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.state.Rejections) })
 	r.CounterFunc("innet_controller_migrations_total",
 		"Deployments migrated off a failed platform.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.Migrations) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.state.Migrations) })
 	r.CounterFunc("innet_controller_failed_migrations_total",
 		"Failovers that found no admissible alternate platform.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.FailedMigrations) })
+		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(c.state.FailedMigrations) })
 	r.GaugeFunc("innet_controller_deployments",
 		"Deployments currently recorded (all statuses).",
 		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.deployments)) })
@@ -130,7 +130,7 @@ func (c *Controller) RegisterDrops(d *telemetry.Drops) {
 	d.Source("admission", "rejected", func() uint64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return uint64(c.Rejections)
+		return uint64(c.state.Rejections)
 	})
 }
 

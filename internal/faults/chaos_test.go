@@ -191,7 +191,7 @@ func TestChaosSeededRecovery(t *testing.T) {
 	if p1.Outages != 1 {
 		t.Errorf("Platform1 outages = %d\n%s", p1.Outages, sum)
 	}
-	if cl.Ctl.Migrations == 0 {
+	if cl.Ctl.State().Migrations == 0 {
 		t.Errorf("no migrations despite a platform outage\n%s", sum)
 	}
 	crashes := uint64(0)

@@ -93,8 +93,8 @@ func TestControllerCrashReplacesVanishedModule(t *testing.T) {
 	// Placement may legitimately hand back the just-vacated address;
 	// what must have happened is a re-placement (a recovery migration)
 	// that re-registered the module on its platform.
-	if cl.Ctl.Migrations != 1 {
-		t.Errorf("Migrations = %d, want 1 (recovery re-placement)", cl.Ctl.Migrations)
+	if n := cl.Ctl.State().Migrations; n != 1 {
+		t.Errorf("Migrations = %d, want 1 (recovery re-placement)", n)
 	}
 	if !cl.Platform(rv.Platform).HasModule(rv.Addr) {
 		t.Error("re-placed module not registered on its platform")

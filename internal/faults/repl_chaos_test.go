@@ -32,19 +32,6 @@ func replRequest(i int) controller.Request {
 	}
 }
 
-func newReplPair(t *testing.T, opts ReplPairOptions) *ReplPair {
-	t.Helper()
-	opts.LeaderDir = t.TempDir()
-	opts.StandbyDir = t.TempDir()
-	opts.Logf = t.Logf
-	p, err := NewReplPair(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(p.Close)
-	return p
-}
-
 func waitRepl(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -73,9 +60,8 @@ func requireWarmReplica(t *testing.T, n *ReplNode) {
 }
 
 // renderController renders a replica's controller in renderState's
-// format. The counter fields are unsynchronized, so they are read
-// through the node's metrics registry, whose callbacks take the
-// controller lock.
+// format: its deployment side-table, and the decision counters of its
+// own folded state.
 func renderController(t *testing.T, n *ReplNode) string {
 	t.Helper()
 	var b strings.Builder
@@ -83,19 +69,9 @@ func renderController(t *testing.T, n *ReplNode) string {
 		fmt.Fprintf(&b, "%s %s/%s %s addr=%d sandboxed=%t %s %q\n",
 			d.ID, d.Tenant, d.ModuleName, d.Platform, d.Addr, d.Sandboxed, d.Status(), d.Config)
 	}
-	var prom bytes.Buffer
-	if err := n.reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
-	v := make(map[string]string)
-	for _, line := range strings.Split(prom.String(), "\n") {
-		if name, val, ok := strings.Cut(line, " "); ok {
-			v[name] = val
-		}
-	}
-	fmt.Fprintf(&b, "placed=%s rejections=%s migrations=%s failed=%s\n",
-		v["innet_controller_placed_total"], v["innet_controller_rejections_total"],
-		v["innet_controller_migrations_total"], v["innet_controller_failed_migrations_total"])
+	st := n.Ctl.State()
+	fmt.Fprintf(&b, "placed=%d rejections=%d migrations=%d failed=%d\n",
+		st.Placed, st.Rejections, st.Migrations, st.FailedMigrations)
 	return b.String()
 }
 
@@ -111,27 +87,28 @@ func renderState(st *journal.State) string {
 	return b.String()
 }
 
-// baselineCanonical runs the workload on an unfaulted pair and
-// returns the canonical end state every chaos run must converge to.
+// baselineCanonical runs the workload on an unfaulted pair (a
+// two-replica group) and returns the canonical end state every chaos
+// run must converge to.
 // The workload is deploys 0..n-1 with deploy killIdx killed at the
 // end (killIdx < 0 skips the kill).
 func baselineCanonical(t *testing.T, n, killIdx int) []byte {
 	t.Helper()
-	p := newReplPair(t, ReplPairOptions{})
+	g := newReplGroup(t, 2, ReplGroupOptions{})
 	ids := make([]string, n)
 	for i := 0; i < n; i++ {
-		d, err := p.A.Ctl.Deploy(replRequest(i))
+		d, err := g.Nodes[0].Ctl.Deploy(replRequest(i))
 		if err != nil {
 			t.Fatalf("baseline deploy %d: %v", i, err)
 		}
 		ids[i] = d.ID
 	}
 	if killIdx >= 0 {
-		if err := p.A.Ctl.Kill(ids[killIdx]); err != nil {
+		if err := g.Nodes[0].Ctl.Kill(ids[killIdx]); err != nil {
 			t.Fatalf("baseline kill: %v", err)
 		}
 	}
-	return p.A.Store.State().Canonical()
+	return g.Nodes[0].Store.State().Canonical()
 }
 
 // The seeded plan generator covers the replication kinds, keeps its
@@ -203,10 +180,10 @@ func TestReplLeaderCrashMidDeployConvergesWithBaseline(t *testing.T) {
 	const n, killIdx = 6, 3
 	want := baselineCanonical(t, n, killIdx)
 
-	p := newReplPair(t, ReplPairOptions{FailoverAfter: 150 * time.Millisecond})
+	g := newReplGroup(t, 2, ReplGroupOptions{FailoverAfter: 150 * time.Millisecond})
 	ids := make([]string, n)
 	for i := 0; i < 3; i++ {
-		d, err := p.A.Ctl.Deploy(replRequest(i))
+		d, err := g.Nodes[0].Ctl.Deploy(replRequest(i))
 		if err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
@@ -216,18 +193,18 @@ func TestReplLeaderCrashMidDeployConvergesWithBaseline(t *testing.T) {
 	// The crash: deploy 2's admission is journaled and replicated, but
 	// the "client" never hears back — exactly the ambiguous window a
 	// mid-deploy leader kill leaves behind.
-	p.CrashLeader()
+	g.Crash(0)
 
 	waitRepl(t, "standby auto-promotion", func() bool {
-		return p.B.Node.Role() == controller.RoleLeader
+		return g.Nodes[1].Node.Role() == controller.RoleLeader
 	})
-	if p.Leader() != p.B {
+	if g.Leader() != 1 {
 		t.Fatal("survivor is not the current leader")
 	}
-	requireWarmReplica(t, p.B)
+	requireWarmReplica(t, g.Nodes[1])
 
 	// Replay the ambiguous deploy: idempotent, same deployment.
-	d, reused, err := p.B.Ctl.DeployIdempotent(replRequest(2))
+	d, reused, err := g.Nodes[1].Ctl.DeployIdempotent(replRequest(2))
 	if err != nil {
 		t.Fatalf("replay deploy 2: %v", err)
 	}
@@ -236,21 +213,21 @@ func TestReplLeaderCrashMidDeployConvergesWithBaseline(t *testing.T) {
 	}
 
 	for i := 3; i < n; i++ {
-		d, err := p.B.Ctl.Deploy(replRequest(i))
+		d, err := g.Nodes[1].Ctl.Deploy(replRequest(i))
 		if err != nil {
 			t.Fatalf("deploy %d on survivor: %v", i, err)
 		}
 		ids[i] = d.ID
 	}
-	if err := p.B.Ctl.Kill(ids[killIdx]); err != nil {
+	if err := g.Nodes[1].Ctl.Kill(ids[killIdx]); err != nil {
 		t.Fatalf("kill on survivor: %v", err)
 	}
 
-	got := p.B.Store.State().Canonical()
+	got := g.Nodes[1].Store.State().Canonical()
 	if !bytes.Equal(got, want) {
 		t.Errorf("survivor state diverged from uncrashed baseline:\nbaseline:\n%s\nsurvivor:\n%s", want, got)
 	}
-	requireWarmReplica(t, p.B)
+	requireWarmReplica(t, g.Nodes[1])
 }
 
 // Partition the leader from its standby (clients still reach both):
@@ -262,58 +239,58 @@ func TestReplPartitionFencesLeaderAndConverges(t *testing.T) {
 	const n = 3
 	want := baselineCanonical(t, n, -1)
 
-	p := newReplPair(t, ReplPairOptions{
+	g := newReplGroup(t, 2, ReplGroupOptions{
 		AckTimeout:    300 * time.Millisecond,
 		FailoverAfter: 150 * time.Millisecond,
 	})
 	for i := 0; i < 2; i++ {
-		if _, err := p.A.Ctl.Deploy(replRequest(i)); err != nil {
+		if _, err := g.Nodes[0].Ctl.Deploy(replRequest(i)); err != nil {
 			t.Fatalf("deploy %d: %v", i, err)
 		}
 	}
 
-	p.Partition()
+	g.Isolate(0)
 
 	// The deploy on the isolated leader blocks on sync replication,
 	// then fails as the leader fences itself.
-	_, err := p.A.Ctl.Deploy(replRequest(2))
+	_, err := g.Nodes[0].Ctl.Deploy(replRequest(2))
 	if err == nil {
 		t.Fatal("deploy on a partitioned leader succeeded; history may have forked")
 	}
 	if !errors.Is(err, replication.ErrFenced) {
 		t.Fatalf("partitioned deploy error = %v, want ErrFenced", err)
 	}
-	waitRepl(t, "old leader fenced", func() bool { return p.A.Node.Fenced() })
+	waitRepl(t, "old leader fenced", func() bool { return g.Nodes[0].Node.Fenced() })
 
 	// The standby, hearing silence, promotes itself; the client
 	// retries there.
 	waitRepl(t, "standby auto-promotion", func() bool {
-		return p.B.Node.Role() == controller.RoleLeader
+		return g.Nodes[1].Node.Role() == controller.RoleLeader
 	})
-	requireWarmReplica(t, p.B)
-	if _, err := p.B.Ctl.Deploy(replRequest(2)); err != nil {
+	requireWarmReplica(t, g.Nodes[1])
+	if _, err := g.Nodes[1].Ctl.Deploy(replRequest(2)); err != nil {
 		t.Fatalf("retry on new leader: %v", err)
 	}
 
-	p.Heal()
+	g.Heal()
 
 	// The new leader resynchronizes the deposed one; its journaled-
 	// but-unacknowledged deploy 2 is discarded for the survivor's.
 	// That deploy is canonically identical to the survivor's, so only
 	// the sequence numbers show the resync has happened.
 	waitRepl(t, "deposed leader resync", func() bool {
-		return p.A.Store.Seq() == p.B.Store.Seq() &&
-			bytes.Equal(p.A.Store.State().Canonical(), p.B.Store.State().Canonical())
+		return g.Nodes[0].Store.Seq() == g.Nodes[1].Store.Seq() &&
+			bytes.Equal(g.Nodes[0].Store.State().Canonical(), g.Nodes[1].Store.State().Canonical())
 	})
-	got := p.B.Store.State().Canonical()
+	got := g.Nodes[1].Store.State().Canonical()
 	if !bytes.Equal(got, want) {
 		t.Errorf("converged state diverged from unfaulted baseline:\nbaseline:\n%s\nconverged:\n%s", want, got)
 	}
-	requireWarmReplica(t, p.A)
-	requireWarmReplica(t, p.B)
+	requireWarmReplica(t, g.Nodes[0])
+	requireWarmReplica(t, g.Nodes[1])
 	// And the fence holds after the heal: direct appends on the
 	// deposed node still fail.
-	if err := p.A.Node.Append(journal.Record{Type: journal.EvReject, Reason: "probe"}); !errors.Is(err, replication.ErrFenced) {
+	if err := g.Nodes[0].Node.Append(journal.Record{Type: journal.EvReject, Reason: "probe"}); !errors.Is(err, replication.ErrFenced) {
 		t.Errorf("deposed leader Append = %v, want ErrFenced", err)
 	}
 }
@@ -324,25 +301,25 @@ func TestReplStandbyLagCatchesUp(t *testing.T) {
 	const n = 4
 	want := baselineCanonical(t, n, -1)
 
-	p := newReplPair(t, ReplPairOptions{AckTimeout: 5 * time.Second})
-	p.SetLag(50 * time.Millisecond)
+	g := newReplGroup(t, 2, ReplGroupOptions{AckTimeout: 5 * time.Second})
+	g.SetLag(1, 50*time.Millisecond)
 	for i := 0; i < n; i++ {
-		if _, err := p.A.Ctl.Deploy(replRequest(i)); err != nil {
+		if _, err := g.Nodes[0].Ctl.Deploy(replRequest(i)); err != nil {
 			t.Fatalf("deploy %d under lag: %v", i, err)
 		}
 	}
-	p.SetLag(0)
+	g.SetLag(1, 0)
 
 	waitRepl(t, "standby catch-up", func() bool {
-		return p.B.Node.Info().LagRecords == 0 &&
-			bytes.Equal(p.B.Store.State().Canonical(), p.A.Store.State().Canonical())
+		return g.Nodes[1].Node.Info().LagRecords == 0 &&
+			bytes.Equal(g.Nodes[1].Store.State().Canonical(), g.Nodes[0].Store.State().Canonical())
 	})
-	if got := p.A.Store.State().Canonical(); !bytes.Equal(got, want) {
+	if got := g.Nodes[0].Store.State().Canonical(); !bytes.Equal(got, want) {
 		t.Errorf("lagged run diverged from baseline:\nbaseline:\n%s\ngot:\n%s", want, got)
 	}
-	requireWarmReplica(t, p.A)
-	requireWarmReplica(t, p.B)
-	if p.B.Ctl.Deployments(); len(p.B.Ctl.Deployments()) != n {
-		t.Errorf("standby holds %d deployments, want %d", len(p.B.Ctl.Deployments()), n)
+	requireWarmReplica(t, g.Nodes[0])
+	requireWarmReplica(t, g.Nodes[1])
+	if g.Nodes[1].Ctl.Deployments(); len(g.Nodes[1].Ctl.Deployments()) != n {
+		t.Errorf("standby holds %d deployments, want %d", len(g.Nodes[1].Ctl.Deployments()), n)
 	}
 }

@@ -13,11 +13,27 @@ import (
 	"github.com/in-net/innet/internal/topology"
 )
 
+// ReplNode is one replica of a ReplGroup: a controller, its journal
+// store, and the replication node that binds them.
+type ReplNode struct {
+	Name  string
+	Dir   string
+	Ctl   *controller.Controller
+	Store *journal.Store
+	Node  *replication.Node
+	// Rec is the node's flight recorder: controller, journal and
+	// replication events all land here, so chaos tests can assert the
+	// fault sequence a postmortem would show.
+	Rec *telemetry.Recorder
+}
+
 // ReplGroupOptions shapes an N-replica controller group. Zero values
 // get chaos-suite-tight defaults.
 type ReplGroupOptions struct {
 	// Dirs are the N journal directories (required, one per replica;
-	// len(Dirs) fixes the group size, N ≥ 3 for quorum semantics).
+	// len(Dirs) fixes the group size). N = 2 is a leader/standby pair:
+	// the standby promotes itself directly after FailoverAfter of
+	// silence, with no vote. N ≥ 3 gets quorum semantics.
 	Dirs []string
 	// AckTimeout bounds sync replication: how long a deploy blocks
 	// before a minority leader fences itself (default 500ms).
@@ -26,7 +42,7 @@ type ReplGroupOptions struct {
 	// campaigns; 0 disables automatic elections (manual Promote).
 	FailoverAfter time.Duration
 	// ElectionTimeout bounds one vote round and paces campaign
-	// retries (default 200ms).
+	// retries (default 200ms); a pair holds no votes and ignores it.
 	ElectionTimeout time.Duration
 	// HeartbeatEvery / RedialEvery pace the streams (defaults 20ms /
 	// 10ms).
@@ -53,8 +69,8 @@ func (o *ReplGroupOptions) defaults() {
 // ReplGroup is an N-replica controller group over real loopback TCP
 // with a per-link fault surface: crash any node (and restart it into
 // the same listen address), partition the group into arbitrary sets,
-// or lag the stream toward one node. It is the quorum analogue of
-// ReplPair.
+// or lag the stream toward one node. It is the replication analogue
+// of Cluster; with two dirs it is the leader/standby pair.
 type ReplGroup struct {
 	Nodes []*ReplNode
 	opts  ReplGroupOptions
@@ -128,8 +144,6 @@ func (g *ReplGroup) bootReplica(i int, dir string, role controller.Role, listen 
 	rec := telemetry.NewRecorder(0)
 	ctl.SetRecorder(rec)
 	store.SetRecorder(rec)
-	reg := telemetry.New()
-	ctl.AttachTelemetry(reg, nil)
 	node, err := replication.NewNode(store, ctl, replication.Config{
 		Role:            role,
 		ListenAddr:      listen,
@@ -156,7 +170,7 @@ func (g *ReplGroup) bootReplica(i int, dir string, role controller.Role, listen 
 		store.Close()
 		return nil, err
 	}
-	return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec, reg: reg}, nil
+	return &ReplNode{Name: name, Dir: dir, Ctl: ctl, Store: store, Node: node, Rec: rec}, nil
 }
 
 // wirePeers gives every live replica every other replica's address.

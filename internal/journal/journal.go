@@ -51,8 +51,6 @@ const (
 	// EvReject records a refused Deploy (keeps the Rejections counter
 	// truthful across restarts).
 	EvReject EventType = "reject"
-	// EvStatus records a bare lifecycle-status change.
-	EvStatus EventType = "status"
 	// EvMigrate records a verified failover or recovery re-placement:
 	// the deployment (same ID) on its new platform and address.
 	EvMigrate EventType = "migrate"
@@ -127,10 +125,9 @@ type Record struct {
 	Type EventType `json:"type"`
 	// Dep carries the full deployment for EvAdmit and EvMigrate.
 	Dep *DeploymentRecord `json:"dep,omitempty"`
-	// ID names the target deployment for EvStatus, EvMigrateFailed
-	// and EvKill (and the refused module name for EvReject).
+	// ID names the target deployment for EvMigrateFailed and EvKill
+	// (and the refused module name for EvReject).
 	ID       string `json:"id,omitempty"`
-	Status   string `json:"status,omitempty"`
 	Platform string `json:"platform,omitempty"`
 	Reason   string `json:"reason,omitempty"`
 	// NextID is the controller's ID counter at emission time, so a
@@ -260,10 +257,6 @@ func (st *State) Apply(r Record) {
 		}
 	case EvReject:
 		st.Rejections++
-	case EvStatus:
-		if d, ok := st.Deployments[r.ID]; ok {
-			d.Status = r.Status
-		}
 	case EvMigrate:
 		if r.Dep == nil {
 			return
