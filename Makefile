@@ -89,19 +89,21 @@ examples:
 # function against the journal fold, the synced network snapshot
 # against a fresh compile, the one-pass platform demux against the
 # sequential one, and the event heap's dispatch order against a stable
-# sort.
+# sort. FUZZTIME sets each target's budget (CI runs FUZZTIME=10s).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/clicklang/
-	$(GO) test -fuzz=FuzzSplitArgs -fuzztime=15s ./internal/clicklang/
-	$(GO) test -fuzz=FuzzCanonicalConfig -fuzztime=30s ./internal/clicklang/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/flowspec/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/policy/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/topology/
-	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s ./internal/journal/
-	$(GO) test -fuzz=FuzzControllerFold -fuzztime=30s ./internal/controller/
-	$(GO) test -fuzz=FuzzSnapshotSync -fuzztime=30s ./internal/topology/
-	$(GO) test -fuzz=FuzzDemuxMatchesSequential -fuzztime=30s ./internal/topology/
-	$(GO) test -fuzz=FuzzEventOrder -fuzztime=30s ./internal/netsim/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/clicklang/
+	$(GO) test -fuzz=FuzzSplitArgs -fuzztime=$(FUZZTIME) ./internal/clicklang/
+	$(GO) test -fuzz=FuzzCanonicalConfig -fuzztime=$(FUZZTIME) ./internal/clicklang/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/flowspec/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/policy/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/topology/
+	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal/
+	$(GO) test -fuzz=FuzzControllerFold -fuzztime=$(FUZZTIME) ./internal/controller/
+	$(GO) test -fuzz=FuzzSnapshotSync -fuzztime=$(FUZZTIME) ./internal/topology/
+	$(GO) test -fuzz=FuzzDemuxMatchesSequential -fuzztime=$(FUZZTIME) ./internal/topology/
+	$(GO) test -fuzz=FuzzEventOrder -fuzztime=$(FUZZTIME) ./internal/netsim/
 
 # The seeded chaos suite: fault-injected cluster runs with the full
 # multi-seed sweep (the sweep is skipped under `go test -short`).

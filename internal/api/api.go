@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"github.com/in-net/innet/internal/replication"
 	"github.com/in-net/innet/internal/telemetry"
 )
 
@@ -84,53 +85,12 @@ type HealthResponse struct {
 	// Replication advertises this node's replication role — clients
 	// and peers use it to find the leader after a failover. Absent on
 	// an unreplicated (single) controller.
-	Replication *ReplicationInfo `json:"replication,omitempty"`
+	Replication *replication.Info `json:"replication,omitempty"`
 	// DropReasons is the unified drop-attribution rollup: subsystem
 	// site → taxonomy reason → total count, mirroring
 	// innet_drops_total{site,reason}. Present when the daemon has the
 	// drop hub wired.
 	DropReasons map[string]map[string]uint64 `json:"drop_reasons,omitempty"`
-}
-
-// ReplicationInfo is the replication slice of GET /v1/health.
-type ReplicationInfo struct {
-	// Role is "leader", "standby" or "single".
-	Role string `json:"role"`
-	// Term is the current leadership term.
-	Term uint64 `json:"term"`
-	// Seq is this node's journal head.
-	Seq uint64 `json:"seq"`
-	// Fenced marks a deposed leader (read-only until restarted).
-	Fenced bool `json:"fenced,omitempty"`
-	// LeaderURL is the advertised API URL of the current leader, when
-	// this node is not it.
-	LeaderURL string `json:"leader_url,omitempty"`
-	// LagRecords is how many journal records this node trails by.
-	LagRecords uint64 `json:"lag_records"`
-	// Peers counts configured replication peers.
-	Peers int `json:"peers"`
-	// ClusterSize and Majority describe the quorum arithmetic: N
-	// replicas (this node included), commits need Majority acks.
-	ClusterSize int `json:"cluster_size,omitempty"`
-	Majority    int `json:"majority,omitempty"`
-	// PeerDetail reports per-peer replication progress as seen from
-	// this node (leaders track acks; populated only when peering).
-	PeerDetail []PeerInfo `json:"peer_detail,omitempty"`
-}
-
-// PeerInfo is one replication peer's progress in GET /v1/health.
-type PeerInfo struct {
-	// Addr is the peer's replication listen address.
-	Addr string `json:"addr"`
-	// AckedSeq is the last journal seq the peer acknowledged.
-	AckedSeq uint64 `json:"acked_seq"`
-	// Lag is this node's journal head minus AckedSeq.
-	Lag uint64 `json:"lag"`
-	// Connected reports a live stream to the peer.
-	Connected bool `json:"connected"`
-	// TermConnected is the term the stream handshook under (a peer
-	// connected in an older term does not count toward quorum).
-	TermConnected uint64 `json:"term_connected,omitempty"`
 }
 
 // CacheInfo is the admission-cache slice of GET /v1/health: the

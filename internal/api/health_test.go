@@ -1,6 +1,8 @@
 package api
 
 import (
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"github.com/in-net/innet/internal/controller"
+	"github.com/in-net/innet/internal/replication"
 	"github.com/in-net/innet/internal/topology"
 )
 
@@ -165,5 +168,25 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	}
 	if n != 2 {
 		t.Errorf("slept %d times, want 2", n)
+	}
+}
+
+// GET /v1/health serves replication.Info as it is. The bytes below are
+// pinned: a standby at term 0 whose one peer never connected reports
+// the peer with acked_seq 0 and no term_connected.
+func TestHealthReplicationBytes(t *testing.T) {
+	ctl, _, node := replNode(t, replication.Config{
+		Role:       controller.RoleStandby,
+		ListenAddr: "127.0.0.1:0",
+		Peers:      []string{"127.0.0.1:1"},
+		Dial:       func(string) (net.Conn, error) { return nil, errors.New("unreachable") },
+	})
+	srv := NewServer(ctl)
+	srv.AttachReplication(node)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
+	const want = `{"status":"ok","platforms":{"Platform1":true,"Platform2":true,"Platform3":true},"deployments":{},"cache":{"hits":0,"misses":0,"evictions":0,"invalidations":0,"entries":0},"replication":{"role":"standby","term":0,"seq":0,"lag_records":0,"peers":1,"cluster_size":2,"majority":2,"peer_detail":[{"addr":"127.0.0.1:1","acked_seq":0,"lag":0,"connected":false}]}}` + "\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("health body:\n got %s\nwant %s", got, want)
 	}
 }

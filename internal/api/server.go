@@ -603,26 +603,7 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.repl != nil {
 		info := s.repl.Info()
-		resp.Replication = &ReplicationInfo{
-			Role:        info.Role,
-			Term:        info.Term,
-			Seq:         info.Seq,
-			Fenced:      info.Fenced,
-			LeaderURL:   info.LeaderURL,
-			LagRecords:  info.LagRecords,
-			Peers:       info.Peers,
-			ClusterSize: info.ClusterSize,
-			Majority:    info.Majority,
-		}
-		for _, p := range info.PeerDetail {
-			resp.Replication.PeerDetail = append(resp.Replication.PeerDetail, PeerInfo{
-				Addr:          p.Addr,
-				AckedSeq:      p.AckedSeq,
-				Lag:           p.Lag,
-				Connected:     p.Connected,
-				TermConnected: p.TermConnected,
-			})
-		}
+		resp.Replication = &info
 		if info.Fenced {
 			resp.Errors = append(resp.Errors, fmt.Sprintf(
 				"replication: deposed leader (term %d), node is fenced read-only; writes go to %s", info.Term, info.LeaderURL))

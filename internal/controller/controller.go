@@ -141,18 +141,15 @@ func (s DeploymentStatus) String() string {
 
 // Deployment is a successfully placed processing module.
 type Deployment struct {
-	ID         string
-	Tenant     string
-	ModuleName string
-	Platform   string
-	// Addr is the address clients use to reach the module.
-	Addr uint32
-	// Sandboxed reports whether a ChangeEnforcer was injected.
-	Sandboxed bool
+	// DeploymentRecord is the journal record the deployment was placed
+	// or rebuilt from — its ID, tenant, module, platform, address,
+	// deployed config and original request. The controller's state
+	// holds the same pointer, so like every record in a State it is
+	// never written once committed. Its Status is the status it was
+	// written with; Status() is the live one.
+	*journal.DeploymentRecord
 	// Security is the security-check report.
 	Security *security.Report
-	// Config is the (possibly sandbox-wrapped) deployed source.
-	Config string
 	// Timings is the handling-latency breakdown.
 	Timings Timings
 
@@ -161,9 +158,6 @@ type Deployment struct {
 	// failover replaces the map entry with a fresh Deployment under
 	// the same ID rather than mutating this one.
 	status atomic.Int32
-	// req is the original request, retained so failover can re-run
-	// the full verification pipeline on an alternate platform.
-	req    Request
 	module topology.HostedModule
 	// digest content-addresses the placement (module name, platform,
 	// address, deployed config) for the admission cache's dependency
@@ -229,7 +223,7 @@ func (d *Deployment) PlatformSpec() platform.ModuleSpec {
 		Config:     d.Config,
 		Kind:       platform.ClickOS,
 		Stateful:   d.Stateful(),
-		TraceEvery: d.req.TraceEvery,
+		TraceEvery: d.ReqTraceEvery,
 	}
 }
 
@@ -417,7 +411,7 @@ func (c *Controller) deploy(req Request, idempotent bool) (*Deployment, bool, er
 	}
 	for _, d := range c.deployments {
 		if d.Tenant == req.Tenant && d.ModuleName == req.ModuleName {
-			if idempotent && sameRequest(d.req, req) {
+			if idempotent && sameRequest(requestFromRecord(d.DeploymentRecord), req) {
 				c.endSpanLocked("reused")
 				return d, true, nil
 			}
@@ -679,16 +673,26 @@ func (c *Controller) tryPlatform(req Request, rec *journal.DeploymentRecord, src
 		id = rec.ID
 	}
 	dep := &Deployment{
-		ID:         id,
-		Tenant:     req.Tenant,
-		ModuleName: req.ModuleName,
-		Platform:   platformName,
-		Addr:       addr,
-		Sandboxed:  sandboxed || isVM,
-		Security:   rep,
-		Config:     deploySrc,
-		req:        req,
-		module:     hosted,
+		DeploymentRecord: &journal.DeploymentRecord{
+			ID:              id,
+			Tenant:          req.Tenant,
+			ModuleName:      req.ModuleName,
+			Platform:        platformName,
+			Addr:            addr,
+			Sandboxed:       sandboxed || isVM,
+			Verdict:         rep.Verdict.String(),
+			Config:          deploySrc,
+			Status:          journal.StatusActive,
+			ReqConfig:       req.Config,
+			ReqStock:        req.Stock,
+			ReqRequirements: req.Requirements,
+			Trust:           int(req.Trust),
+			Whitelist:       append([]string(nil), req.Whitelist...),
+			Transparent:     req.Transparent,
+			ReqTraceEvery:   req.TraceEvery,
+		},
+		Security: rep,
+		module:   hosted,
 	}
 	dep.seal()
 	return dep, "", nil
@@ -887,7 +891,7 @@ func (c *Controller) Failover(name string) (migrated []Migration, failed []*Depl
 		d.setStatus(StatusMigrating)
 		c.depsNoteLocked(id)
 		c.beginSpanLocked("failover", id)
-		nd, err := c.placeLocked(d.req, nil)
+		nd, err := c.placeLocked(requestFromRecord(d.DeploymentRecord), nil)
 		if err != nil {
 			c.commitLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: err.Error()}, nil)
 			c.recordLocked("migration-failed", err.Error(), id)
@@ -928,7 +932,7 @@ func (c *Controller) RetryFailed() []*Deployment {
 		// its address; migrating frees it for its own re-placement.
 		d.setStatus(StatusMigrating)
 		c.beginSpanLocked("retry", id)
-		nd, err := c.placeLocked(d.req, nil)
+		nd, err := c.placeLocked(requestFromRecord(d.DeploymentRecord), nil)
 		if err != nil {
 			d.setStatus(StatusFailed)
 			c.endSpanLocked("still-failed")
@@ -1044,7 +1048,9 @@ func (c *Controller) Deployments() []*Deployment {
 
 // State returns a copy of the controller's folded journal state: its
 // deployment records, platform health, ID counter and decision
-// counters (Placed, Rejections, Migrations, FailedMigrations).
+// counters (Placed, Rejections, Migrations, FailedMigrations). The
+// maps are the caller's; the records are shared and must not be
+// written.
 func (c *Controller) State() *journal.State {
 	c.mu.Lock()
 	defer c.mu.Unlock()

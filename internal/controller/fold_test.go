@@ -2,12 +2,14 @@ package controller
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/in-net/innet/internal/journal"
+	"github.com/in-net/innet/internal/security"
 	"github.com/in-net/innet/internal/topology"
 )
 
@@ -27,7 +29,8 @@ import (
 //
 // Each controller's State() must equal store.State(), and its
 // side-table must hold exactly the state's deployment IDs, each
-// rendering (depRecord) to the state's record.
+// embedding the state's record up to the status, which it carries
+// live.
 
 // foldHarness is a journaled leader whose records are teed into a
 // standby twin.
@@ -99,8 +102,9 @@ func checkFold(t *testing.T, h *foldHarness) {
 }
 
 // sideTableDiff lists where c's runtime side-table departs from its
-// folded state: an ID only one of them holds, or an entry that renders
-// to a record other than the state's.
+// folded state: an ID only one of them holds, or an entry whose record,
+// with its live status, is not the state's. A status sweep replaces the
+// state's record but not the entry's, so only the status may differ.
 func sideTableDiff(c *Controller) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,7 +115,9 @@ func sideTableDiff(c *Controller) string {
 			fmt.Fprintf(&b, "%s: in the state only\n", id)
 			continue
 		}
-		if got, want := *depRecord(d), *c.state.Deployments[id]; !reflect.DeepEqual(got, want) {
+		got, want := *d.DeploymentRecord, *c.state.Deployments[id]
+		got.Status = d.Status().String()
+		if !reflect.DeepEqual(got, want) {
 			fmt.Fprintf(&b, "%s: side-table %+v, state %+v\n", id, got, want)
 		}
 	}
@@ -206,4 +212,80 @@ func TestLoadStateIsAllOrNothing(t *testing.T) {
 	if diff := sideTableDiff(c); diff != "" {
 		t.Errorf("side-table differs from the state after a failed load:\n%s", diff)
 	}
+}
+
+// One record per placement: Deploy and Failover commit the record the
+// deployment embeds, and the leader's state, the store's state and the
+// standby twin's state and side-table all hold that one record.
+func TestPlacementCommitsItsOwnRecord(t *testing.T) {
+	h := newFoldHarness(t)
+	dep, err := h.leader.Deploy(Request{Tenant: "bob", ModuleName: "dns", Stock: StockGeoDNS, Trust: security.ThirdParty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSharedRecord(t, h, dep)
+	h.leader.MarkPlatformDown(dep.Platform)
+	migrated, _ := h.leader.Failover(dep.Platform)
+	if len(migrated) != 1 {
+		t.Fatalf("failover migrated %d deployments, want 1", len(migrated))
+	}
+	checkSharedRecord(t, h, migrated[0].To)
+	checkFold(t, h)
+}
+
+// checkSharedRecord asserts that the record d embeds is the one h's
+// leader and store hold for it, and that the twin's state holds the
+// record its own deployment embeds.
+func checkSharedRecord(t *testing.T, h *foldHarness, d *Deployment) {
+	t.Helper()
+	rec := d.DeploymentRecord
+	if got := h.leader.State().Deployments[d.ID]; got != rec {
+		t.Errorf("%s: the leader's state holds %p, the deployment %p", d.ID, got, rec)
+	}
+	if got := h.store.State().Deployments[d.ID]; got != rec {
+		t.Errorf("%s: the store's state holds %p, the deployment %p", d.ID, got, rec)
+	}
+	twin, ok := h.twin.Get(d.ID)
+	if !ok {
+		t.Fatalf("%s: the twin does not hold it", d.ID)
+	}
+	if got := h.twin.State().Deployments[d.ID]; got != twin.DeploymentRecord {
+		t.Errorf("%s: the twin's state holds %p, its deployment %p", d.ID, got, twin.DeploymentRecord)
+	}
+}
+
+// State copies share records with the live state, so a reader may
+// marshal its copy while status sweeps run: a sweep replaces the
+// records it changes rather than writing them. Run with -race.
+func TestStateCopiesSurviveSweeps(t *testing.T) {
+	h := newFoldHarness(t)
+	c := h.leader
+	dep, err := c.Deploy(batcherRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Deploy(Request{Tenant: "bob", ModuleName: "dns", Stock: StockGeoDNS, Trust: security.ThirdParty}); err != nil {
+		t.Fatal(err)
+	}
+	copies := make(chan *journal.State, 8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for st := range copies {
+			for _, s := range []*journal.State{st, c.State()} {
+				if _, err := json.Marshal(s); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		c.MarkPlatformDown(dep.Platform)
+		copies <- h.store.State()
+		c.MarkPlatformUp(dep.Platform)
+		copies <- h.store.State()
+	}
+	close(copies)
+	<-done
+	checkFold(t, h)
 }

@@ -83,7 +83,7 @@ func (c *Controller) commitLocked(rec journal.Record, d *Deployment) error {
 // old ID but still consumes pm-N — so NextID counts it; a recovery
 // re-placement uses none and commits a plain record instead.
 func (c *Controller) placedRecord(typ journal.EventType, d *Deployment) journal.Record {
-	return journal.Record{Type: typ, Dep: depRecord(d), NextID: c.state.NextID + 1}
+	return journal.Record{Type: typ, Dep: d.DeploymentRecord, NextID: c.state.NextID + 1}
 }
 
 // applyLocked is the controller's transition function: what one
@@ -151,35 +151,6 @@ func (c *Controller) loadStateLocked(st *journal.State) error {
 	return nil
 }
 
-// depRecord renders a deployment as its journal record.
-func depRecord(d *Deployment) *journal.DeploymentRecord {
-	return &journal.DeploymentRecord{
-		ID:              d.ID,
-		Tenant:          d.Tenant,
-		ModuleName:      d.ModuleName,
-		Platform:        d.Platform,
-		Addr:            d.Addr,
-		Sandboxed:       d.Sandboxed,
-		Verdict:         verdictName(d.Security),
-		Config:          d.Config,
-		Status:          d.Status().String(),
-		ReqConfig:       d.req.Config,
-		ReqStock:        d.req.Stock,
-		ReqRequirements: d.req.Requirements,
-		Trust:           int(d.req.Trust),
-		Whitelist:       append([]string(nil), d.req.Whitelist...),
-		Transparent:     d.req.Transparent,
-		ReqTraceEvery:   d.req.TraceEvery,
-	}
-}
-
-func verdictName(rep *security.Report) string {
-	if rep == nil {
-		return ""
-	}
-	return rep.Verdict.String()
-}
-
 // recoveredReport synthesizes a minimal security report for a
 // deployment rebuilt from the journal: the verdict survives, the
 // per-flow findings do not (they were advisory; the admission-time
@@ -218,24 +189,17 @@ func requestFromRecord(rec *journal.DeploymentRecord) Request {
 	}
 }
 
-// deploymentFromRecord rebuilds a deployment exactly as journaled:
-// same platform, address and deployed config. Only the Click build
-// runs — no symbolic analysis.
+// deploymentFromRecord rebuilds a deployment exactly as journaled: it
+// embeds rec itself, so the same platform, address and deployed
+// config. Only the Click build runs — no symbolic analysis.
 func deploymentFromRecord(rec *journal.DeploymentRecord) (*Deployment, error) {
 	router, err := buildConfig(rec.Config)
 	if err != nil {
 		return nil, fmt.Errorf("controller: recover %s: journaled config does not build: %v", rec.ID, err)
 	}
 	d := &Deployment{
-		ID:         rec.ID,
-		Tenant:     rec.Tenant,
-		ModuleName: rec.ModuleName,
-		Platform:   rec.Platform,
-		Addr:       rec.Addr,
-		Sandboxed:  rec.Sandboxed,
-		Security:   recoveredReport(rec.Verdict),
-		Config:     rec.Config,
-		req:        requestFromRecord(rec),
+		DeploymentRecord: rec,
+		Security:         recoveredReport(rec.Verdict),
 		module: topology.HostedModule{
 			ID: rec.ModuleName, Platform: rec.Platform, Addr: rec.Addr, Router: router,
 		},
@@ -311,13 +275,13 @@ func Restore(topo *topology.Topology, operatorPolicy string, opts Options, st *j
 	// Pass 2: placement-only recovery for vanished platforms. A module
 	// that fits nowhere is kept, failed: capacity may return.
 	for _, id := range vanished {
-		d, perr := c.placeLocked(c.deployments[id].req, st.Deployments[id])
+		d, perr := c.placeLocked(requestFromRecord(st.Deployments[id]), st.Deployments[id])
 		if perr != nil {
 			c.commitLocked(journal.Record{Type: journal.EvMigrateFailed, ID: id, Reason: perr.Error()}, nil)
 			report.Failed = append(report.Failed, id)
 			continue
 		}
-		c.commitLocked(journal.Record{Type: journal.EvMigrate, Dep: depRecord(d)}, d)
+		c.commitLocked(journal.Record{Type: journal.EvMigrate, Dep: d.DeploymentRecord}, d)
 		report.Replaced = append(report.Replaced, id)
 	}
 	sort.Strings(report.Failed)

@@ -116,9 +116,10 @@ func (c *Controller) DeployIdempotent(req Request) (*Deployment, bool, error) {
 // ingested into the standby's journal store, so nothing is
 // re-journaled here; applyLocked makes exactly the in-memory
 // transition the leader made when it committed the record. Deployments
-// are rebuilt with deploymentFromRecord (no symbolic re-analysis — the
-// leader's admission already paid for it, and the verdict travels with
-// the record).
+// are rebuilt with deploymentFromRecord around the decoded record, which
+// the state then adopts (no symbolic re-analysis — the leader's
+// admission already paid for it, and the verdict travels with the
+// record).
 func (c *Controller) ApplyRecord(r journal.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

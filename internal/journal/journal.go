@@ -82,6 +82,11 @@ const (
 // restart without re-running the admission pipeline: the placement
 // result plus the original request (retained so recovery can re-run
 // only the placement step when the hosting platform vanished).
+//
+// A record is immutable once a State holds it: states, their copies
+// and the controller's deployments share record pointers, so a status
+// change replaces the State's entry with a fresh record (withStatus)
+// rather than writing the one it holds.
 type DeploymentRecord struct {
 	ID         string `json:"id"`
 	Tenant     string `json:"tenant,omitempty"`
@@ -107,13 +112,10 @@ type DeploymentRecord struct {
 	ReqTraceEvery   int      `json:"req_trace_every,omitempty"`
 }
 
-// Clone returns a deep copy.
-func (d *DeploymentRecord) Clone() *DeploymentRecord {
-	if d == nil {
-		return nil
-	}
+// withStatus returns a copy of d carrying status s.
+func (d *DeploymentRecord) withStatus(s string) *DeploymentRecord {
 	c := *d
-	c.Whitelist = append([]string(nil), d.Whitelist...)
+	c.Status = s
 	return &c
 }
 
@@ -178,12 +180,13 @@ func NewState() *State {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy whose maps are the caller's own. The records
+// are shared: no State writes a record it holds.
 func (st *State) Clone() *State {
 	c := *st
 	c.Deployments = make(map[string]*DeploymentRecord, len(st.Deployments))
 	for id, d := range st.Deployments {
-		c.Deployments[id] = d.Clone()
+		c.Deployments[id] = d
 	}
 	c.PlatformDown = make(map[string]bool, len(st.PlatformDown))
 	for p, down := range st.PlatformDown {
@@ -239,7 +242,9 @@ func idNum(id string) int {
 // Apply folds one record into the state. Unknown or dangling records
 // (e.g. a status for a killed deployment) are ignored rather than
 // rejected: a journal that truncated differently than the writer
-// expected must still replay.
+// expected must still replay. Apply adopts an admit's or migrate's
+// Dep as is, so the caller must not write it afterwards, and it
+// writes no record: a status sweep replaces the entries it changes.
 func (st *State) Apply(r Record) {
 	st.Seq = r.Seq
 	if r.NextID > st.NextID {
@@ -250,7 +255,7 @@ func (st *State) Apply(r Record) {
 		if r.Dep == nil {
 			return
 		}
-		st.Deployments[r.Dep.ID] = r.Dep.Clone()
+		st.Deployments[r.Dep.ID] = r.Dep
 		st.Placed++
 		if n := idNum(r.Dep.ID); n > st.NextID {
 			st.NextID = n
@@ -261,32 +266,24 @@ func (st *State) Apply(r Record) {
 		if r.Dep == nil {
 			return
 		}
-		st.Deployments[r.Dep.ID] = r.Dep.Clone()
+		st.Deployments[r.Dep.ID] = r.Dep
 		st.Migrations++
 		if n := idNum(r.Dep.ID); n > st.NextID {
 			st.NextID = n
 		}
 	case EvMigrateFailed:
 		if d, ok := st.Deployments[r.ID]; ok {
-			d.Status = StatusFailed
+			st.Deployments[r.ID] = d.withStatus(StatusFailed)
 		}
 		st.FailedMigrations++
 	case EvKill:
 		delete(st.Deployments, r.ID)
 	case EvPlatformDown:
 		st.PlatformDown[r.Platform] = true
-		for _, d := range st.Deployments {
-			if d.Platform == r.Platform && d.Status == StatusActive {
-				d.Status = StatusDegraded
-			}
-		}
+		st.sweep(r.Platform, StatusActive, StatusDegraded)
 	case EvPlatformUp:
 		delete(st.PlatformDown, r.Platform)
-		for _, d := range st.Deployments {
-			if d.Platform == r.Platform && d.Status == StatusDegraded {
-				d.Status = StatusActive
-			}
-		}
+		st.sweep(r.Platform, StatusDegraded, StatusActive)
 	case EvTerm:
 		if r.Term > st.Term {
 			st.Term = r.Term
@@ -295,6 +292,15 @@ func (st *State) Apply(r Record) {
 				st.TermStarts = make(map[uint64]uint64)
 			}
 			st.TermStarts[r.Term] = r.Seq
+		}
+	}
+}
+
+// sweep moves every deployment on platform from status from to to.
+func (st *State) sweep(platform, from, to string) {
+	for id, d := range st.Deployments {
+		if d.Platform == platform && d.Status == from {
+			st.Deployments[id] = d.withStatus(to)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -431,5 +433,66 @@ func TestDecodeAllAfterSeqAcrossCompactBoundary(t *testing.T) {
 	}
 	if got, err = s.RecordsAfter(6); err != nil || len(got) != 0 {
 		t.Errorf("RecordsAfter(6) = %d recs, err %v; want none", len(got), err)
+	}
+}
+
+// A record in a State is never written: clones share records, so a
+// status sweep that wrote the record it holds would change every
+// earlier clone too. The fold of a generated history of admits,
+// migrations, failed migrations, platform flips and kills must leave
+// each clone taken before a record marshalling to the bytes it had.
+func TestApplyNeverWritesAHeldRecord(t *testing.T) {
+	platforms := []string{"Platform1", "Platform2", "Platform3"}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		st := NewState()
+		var clones []*State
+		var before [][]byte
+		next := 0
+		for i := 0; i < 200; i++ {
+			ids := st.IDs()
+			var r Record
+			switch op := rng.IntN(6); {
+			case op == 0 || len(ids) == 0:
+				next++
+				id := fmt.Sprintf("pm-%d", next)
+				r = Record{Type: EvAdmit, Dep: dep(id, platforms[rng.IntN(3)], uint32(next), StatusActive)}
+			case op == 1:
+				next++
+				r = Record{Type: EvMigrate, Dep: dep(ids[rng.IntN(len(ids))], platforms[rng.IntN(3)], uint32(next), StatusActive)}
+			case op == 2:
+				r = Record{Type: EvMigrateFailed, ID: ids[rng.IntN(len(ids))]}
+			case op == 3:
+				r = Record{Type: EvPlatformDown, Platform: platforms[rng.IntN(3)]}
+			case op == 4:
+				r = Record{Type: EvPlatformUp, Platform: platforms[rng.IntN(3)]}
+			default:
+				r = Record{Type: EvKill, ID: ids[rng.IntN(len(ids))]}
+			}
+			r.Seq = uint64(i + 1)
+			c := st.Clone()
+			data, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clones, before = append(clones, c), append(before, data)
+			st.Apply(r)
+		}
+		statuses := map[string]bool{}
+		for i, c := range clones {
+			after, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before[i]) {
+				t.Fatalf("seed %d: the clone taken before record %d changed:\nbefore %s\nafter  %s", seed, i+1, before[i], after)
+			}
+			for _, d := range c.Deployments {
+				statuses[d.Status] = true
+			}
+		}
+		if !statuses[StatusDegraded] || !statuses[StatusFailed] {
+			t.Fatalf("seed %d: history reached statuses %v, want degraded and failed among them", seed, statuses)
+		}
 	}
 }

@@ -201,7 +201,7 @@ func (s *Store) Dir() string { return s.dir }
 // tests) never race with an in-flight append.
 func (s *Store) Seq() uint64 { return s.seq.Load() }
 
-// State returns a deep copy of the folded state.
+// State returns a copy of the folded state (see State.Clone).
 func (s *Store) State() *State { return s.state.Clone() }
 
 // Append assigns the next sequence number, writes the frame (fsync

@@ -94,9 +94,6 @@ type Config struct {
 	// Dial replaces net.Dial for the peer streams — the chaos suite
 	// injects partitions and lag here.
 	Dial func(addr string) (net.Conn, error)
-	// OnApply, when set, observes every record the standby applies —
-	// innetd uses it to mirror admissions into its simulated dataplane.
-	OnApply func(journal.Record)
 	// Registry receives the replication telemetry families (nil = dark).
 	Registry *telemetry.Registry
 	// Rec, when set, receives flight-recorder events for fencings and
@@ -340,15 +337,6 @@ func (n *Node) AddPeer(addr string) {
 	if n.role == controller.RoleLeader && !n.fenced {
 		n.startPeersLocked()
 	}
-}
-
-// SetAdvertiseURL updates the client-facing API URL announced in the
-// replication handshake. Harnesses that bind test HTTP servers after
-// the node is built set it before the first peer stream opens.
-func (n *Node) SetAdvertiseURL(u string) {
-	n.mu.Lock()
-	n.cfg.AdvertiseURL = u
-	n.mu.Unlock()
 }
 
 // Append journals a best-effort record and ships it asynchronously.
@@ -726,7 +714,8 @@ func (n *Node) supervisor() {
 	}
 }
 
-// Info is the node's replication status, surfaced in /v1/health.
+// Info is the node's replication status, served as is by GET
+// /v1/health.
 type Info struct {
 	Role string `json:"role"`
 	Term uint64 `json:"term"`
@@ -763,7 +752,7 @@ type PeerStatus struct {
 	// term the stream last went live in (a peer whose TermConnected
 	// trails the node's term is a catch-up candidate, not a voter).
 	Connected     bool   `json:"connected"`
-	TermConnected uint64 `json:"term_connected"`
+	TermConnected uint64 `json:"term_connected,omitempty"`
 }
 
 // Info snapshots the node's replication status.

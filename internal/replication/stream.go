@@ -312,9 +312,6 @@ func (n *Node) ingestLoop(conn net.Conn, br *bufio.Reader) {
 				// Restore from the (correct) journal.
 				n.logf("replication: apply seq %d: %v", rec.Seq, err)
 			}
-			if n.cfg.OnApply != nil {
-				n.cfg.OnApply(rec)
-			}
 			if !ack(rec.Seq) {
 				return
 			}
