@@ -86,7 +86,8 @@ examples:
 	$(GO) run ./examples/cdn
 
 # Short fuzzing passes over every parser, the controller's transition
-# function against the journal fold, the synced network snapshot
+# function against the journal fold and its simulated dataplane, a
+# standby's frame ingest against its store, the synced network snapshot
 # against a fresh compile, the one-pass platform demux against the
 # sequential one, and the event heap's dispatch order against a stable
 # sort. FUZZTIME sets each target's budget (CI runs FUZZTIME=10s).
@@ -101,6 +102,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/topology/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/journal/
 	$(GO) test -fuzz=FuzzControllerFold -fuzztime=$(FUZZTIME) ./internal/controller/
+	$(GO) test -fuzz=FuzzStandbyIngest -fuzztime=$(FUZZTIME) ./internal/replication/
 	$(GO) test -fuzz=FuzzSnapshotSync -fuzztime=$(FUZZTIME) ./internal/topology/
 	$(GO) test -fuzz=FuzzDemuxMatchesSequential -fuzztime=$(FUZZTIME) ./internal/topology/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=$(FUZZTIME) ./internal/netsim/

@@ -250,17 +250,6 @@ func run() int {
 	if *simulate {
 		sim = api.NewSimulator(topo.Platforms())
 		log.Printf("innetd: simulation mode on; POST /v1/inject to drive packets through deployed modules")
-		// Recovered deployments become live on the emulated platforms
-		// too (failed ones wait for an explicit retry).
-		for _, d := range ctl.Deployments() {
-			if d.Status() == controller.StatusFailed {
-				continue
-			}
-			if err := sim.Register(d); err != nil {
-				log.Printf("innetd: re-register recovered %s: %v", d.ID, err)
-				return 1
-			}
-		}
 		sim.RegisterMetrics(reg)
 		sim.RegisterDrops(drops)
 		sim.SetRecorder(rec)
@@ -268,6 +257,16 @@ func run() int {
 	}
 	drops.Attach(reg)
 	handler := api.NewServerWithSimulator(ctl, sim)
+	// Recovered deployments are live on the emulated platforms too
+	// (failed ones wait for an explicit retry).
+	if sim != nil {
+		for _, d := range ctl.Deployments() {
+			if err := sim.Err(d.ID); err != nil {
+				log.Printf("innetd: install recovered %s: %v", d.ID, err)
+				return 1
+			}
+		}
+	}
 	handler.AttachTelemetry(reg, tracer)
 	handler.AttachObservability(drops, rec)
 	if repl != nil {

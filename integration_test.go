@@ -43,7 +43,7 @@ IPRewriter(pattern - - 10.1.15.133 - 0 0)
 	// integration would.
 	sim := netsim.New(1)
 	pl := platform.New(sim, platform.DefaultModel(), 16*1024)
-	if err := pl.Register(dep.PlatformSpec()); err != nil {
+	if err := pl.Register(platform.SpecOf(dep.DeploymentRecord)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -122,7 +122,7 @@ in -> dec -> snat -> out;
 
 	sim := netsim.New(1)
 	pl := platform.New(sim, platform.DefaultModel(), 16*1024)
-	if err := pl.Register(dep.PlatformSpec()); err != nil {
+	if err := pl.Register(platform.SpecOf(dep.DeploymentRecord)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -86,10 +86,13 @@ func NewServer(ctl *controller.Controller) *Server {
 }
 
 // NewServerWithSimulator additionally attaches an embedded dataplane
-// emulation: deployments are registered on simulated platforms and
-// POST /v1/inject drives test traffic through them.
+// emulation that follows the controller's state, and POST /v1/inject
+// drives test traffic through its modules.
 func NewServerWithSimulator(ctl *controller.Controller, sim *Simulator) *Server {
 	s := &Server{ctl: ctl, sim: sim, mux: http.NewServeMux(), deployTimeout: DefaultDeployTimeout}
+	if sim != nil {
+		sim.attach(ctl)
+	}
 	s.mux.HandleFunc("/v1/modules", s.modules)
 	s.mux.HandleFunc("/v1/modules/", s.moduleByID)
 	s.mux.HandleFunc("/v1/classes", s.classes)
@@ -407,8 +410,9 @@ func (s *Server) modules(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, status, err)
 			return
 		}
-		if s.sim != nil && !reused {
-			if err := s.sim.Register(dep); err != nil {
+		if s.sim != nil {
+			// Undo a placement the simulated dataplane cannot host.
+			if err := s.sim.Err(dep.ID); err != nil {
 				_ = s.ctl.Kill(dep.ID)
 				writeErr(w, http.StatusInternalServerError, err)
 				return
@@ -519,7 +523,6 @@ func (s *Server) moduleByID(w http.ResponseWriter, r *http.Request) {
 		if s.notLeader(w, r) {
 			return
 		}
-		dep, ok := s.ctl.Get(id)
 		if err := s.ctl.Kill(id); err != nil {
 			if errors.Is(err, controller.ErrNotLeader) {
 				w.Header().Set("Retry-After", "1")
@@ -528,9 +531,6 @@ func (s *Server) moduleByID(w http.ResponseWriter, r *http.Request) {
 			}
 			writeErr(w, http.StatusNotFound, err)
 			return
-		}
-		if s.sim != nil && ok {
-			s.sim.Unregister(dep)
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodGet:

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/in-net/innet/internal/controller"
+	"github.com/in-net/innet/internal/journal"
 	"github.com/in-net/innet/internal/netsim"
 	"github.com/in-net/innet/internal/packet"
 	"github.com/in-net/innet/internal/platform"
@@ -16,17 +17,16 @@ import (
 // Simulator hosts an in-process dataplane emulation behind innetd's
 // -simulate mode: one simulated platform per topology platform, each
 // fronted by a virtual switch (§5: the vswitch redirects flows to the
-// processing modules), with every successful deployment registered on
-// its host and a flow rule installed for its address. Clients can
-// then POST /v1/inject test packets and watch their modules process
-// them — boot-on-first-packet latency included.
+// processing modules), kept a function of the controller's state by a
+// platform.Reconciler. Clients can then POST /v1/inject test packets
+// and watch their modules process them — boot-on-first-packet latency
+// included.
 type Simulator struct {
 	mu        sync.Mutex
 	sim       *netsim.Sim
 	platforms map[string]*platform.Platform
 	switches  map[string]*vswitch.Switch
-	rules     map[uint32]*vswitch.Rule // module addr -> installed rule
-	byAddr    map[uint32]string        // module addr -> platform name
+	recon     *platform.Reconciler
 	// emit collects module output during one Inject; the vswitch
 	// ToModule closures read it, so it is only set under mu.
 	emit func(iface int, out *packet.Packet)
@@ -39,8 +39,6 @@ func NewSimulator(platformNames []string) *Simulator {
 		sim:       netsim.New(1),
 		platforms: make(map[string]*platform.Platform),
 		switches:  make(map[string]*vswitch.Switch),
-		rules:     make(map[uint32]*vswitch.Rule),
-		byAddr:    make(map[uint32]string),
 	}
 	// out is bound once: it reads s.emit when a module transmits.
 	out := func(iface int, pk *packet.Packet) {
@@ -55,43 +53,26 @@ func NewSimulator(platformNames []string) *Simulator {
 		sw.ToModule = func(_ uint32, pk *packet.Packet) { p.Deliver(pk, out) }
 		s.switches[name] = sw
 	}
+	s.recon = platform.NewReconciler(s.platforms, s.switches)
 	return s
 }
 
-// Register installs a deployment on its hosting platform and a
-// dispatch rule for its address on the platform's vswitch.
-func (s *Simulator) Register(dep *controller.Deployment) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.platforms[dep.Platform]
-	if !ok {
-		return fmt.Errorf("api: no simulated platform %q", dep.Platform)
-	}
-	if err := p.Register(dep.PlatformSpec()); err != nil {
-		return err
-	}
-	s.byAddr[dep.Addr] = dep.Platform
-	s.rules[dep.Addr] = s.switches[dep.Platform].Install(vswitch.Rule{
-		Priority: 10,
-		Match:    vswitch.Match{DstIP: dep.Addr},
-		Action:   vswitch.ActToModule,
-		Module:   dep.Addr,
+// attach makes the dataplane follow ctl's state. The watcher runs
+// under ctl's lock: no method may call into ctl while holding s.mu.
+func (s *Simulator) attach(ctl *controller.Controller) {
+	ctl.Watch(func(st *journal.State) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.recon.Reconcile(st)
 	})
-	return nil
 }
 
-// Unregister removes a deployment and its vswitch rule.
-func (s *Simulator) Unregister(dep *controller.Deployment) {
+// Err reports why deployment id is not installed (nil when it is, or
+// when it is failed or gone).
+func (s *Simulator) Err(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.platforms[dep.Platform]; ok {
-		p.Unregister(dep.Addr)
-	}
-	if r, ok := s.rules[dep.Addr]; ok {
-		_ = s.switches[dep.Platform].Remove(r)
-		delete(s.rules, dep.Addr)
-	}
-	delete(s.byAddr, dep.Addr)
+	return s.recon.Err(id)
 }
 
 // RegisterMetrics folds every simulated platform's lifecycle/drop
@@ -216,11 +197,16 @@ func (s *Simulator) Inject(req InjectRequest) (*InjectResponse, error) {
 	if err != nil {
 		return nil, fmt.Errorf("api: bad dst: %v", err)
 	}
-	platName, ok := s.byAddr[dst]
-	if !ok {
-		return nil, fmt.Errorf("api: no deployed module at %s", req.Dst)
+	platName := ""
+	for name, q := range s.platforms {
+		if q.HasModule(dst) {
+			platName = name
+		}
 	}
 	p := s.platforms[platName]
+	if p == nil {
+		return nil, fmt.Errorf("api: no deployed module at %s", req.Dst)
+	}
 	src := packet.MustParseIP("192.0.2.99")
 	if req.Src != "" {
 		if src, err = packet.ParseIP(req.Src); err != nil {

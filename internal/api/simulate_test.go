@@ -1,11 +1,20 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/in-net/innet/internal/controller"
+	"github.com/in-net/innet/internal/journal"
+	"github.com/in-net/innet/internal/packet"
+	"github.com/in-net/innet/internal/security"
 	"github.com/in-net/innet/internal/topology"
 )
 
@@ -133,4 +142,119 @@ in -> dec -> snat -> out;
 	if len(res.Emitted) != 0 {
 		t.Errorf("malformed tunnel payload emitted: %+v", res.Emitted)
 	}
+}
+
+// The one rollback the server keeps: a placement the simulated
+// dataplane cannot host is killed again, so the client's 500 is true.
+// The simulator here lacks the platform a geo-dns module is placed on.
+func TestUninstallableDeployRollsBack(t *testing.T) {
+	topo, err := topology.PaperFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := controller.New(topo, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []string
+	for _, name := range topo.Platforms() {
+		if name != "Platform1" {
+			hosts = append(hosts, name)
+		}
+	}
+	sim := NewSimulator(hosts)
+	ts := httptest.NewServer(NewServerWithSimulator(ctl, sim))
+	t.Cleanup(ts.Close)
+	body, _ := json.Marshal(DeployRequest{Tenant: "erin", ModuleName: "dns", Stock: controller.StockGeoDNS, Trust: "third-party"})
+	resp, err := http.Post(ts.URL+"/v1/modules", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(msg), "Platform1") {
+		t.Fatalf("deploy onto a missing platform = %d %s, want 500 naming Platform1", resp.StatusCode, msg)
+	}
+	if deps := ctl.Deployments(); len(deps) != 0 {
+		t.Errorf("rolled-back deploy left %d deployments", len(deps))
+	}
+	for name, p := range sim.platforms {
+		if n, r := p.RegisteredModules(), sim.switches[name].Rules(); n != 0 || r != 0 {
+			t.Errorf("%s holds %d modules and %d rules after the rollback", name, n, r)
+		}
+	}
+}
+
+// recordTee hands every record a leader commits, with its sequence
+// number, to a standby's catch-up path.
+type recordTee struct {
+	standby *controller.Controller
+	seq     uint64
+}
+
+func (j *recordTee) Append(r journal.Record) error {
+	j.seq++
+	r.Seq = j.seq
+	return j.standby.ApplyRecord(r, nil)
+}
+
+// A standby that runs the simulator from boot holds every module it
+// received by replication: once promoted, it injects into them.
+func TestPromotedStandbyInjectsReplicatedModule(t *testing.T) {
+	topo, err := topology.PaperFig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := controller.New(topo, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby, err := controller.New(topo, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby.SetRole(controller.RoleStandby)
+	ts := httptest.NewServer(NewServerWithSimulator(standby, NewSimulator(topo.Platforms())))
+	t.Cleanup(ts.Close)
+	leader.AttachJournal(&recordTee{standby: standby})
+	dep, err := leader.Deploy(controller.Request{Tenant: "erin", ModuleName: "dns", Stock: controller.StockGeoDNS, Trust: security.ThirdParty})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	standby.SetRole(controller.RoleLeader)
+	res, err := NewClient(ts.URL).Inject(InjectRequest{Dst: packet.IPString(dep.Addr), Proto: "udp", DstPort: 53, Count: 2})
+	if err != nil {
+		t.Fatalf("inject into the replicated module: %v", err)
+	}
+	if res.Platform != dep.Platform || len(res.Emitted) != 2 {
+		t.Errorf("inject = %+v, want 2 packets emitted on %s", res, dep.Platform)
+	}
+}
+
+// The simulator is reached from the controller's watcher (under the
+// controller's lock) and from inject handlers at once: concurrent
+// deploys, injects and kills must neither race nor deadlock. Run with
+// -race.
+func TestSimulatorConcurrentDeployInjectKill(t *testing.T) {
+	_, c := newSimulatedServer(t)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			dep, err := c.Deploy(DeployRequest{Tenant: fmt.Sprintf("t%d", i), ModuleName: fmt.Sprintf("dns%d", i), Stock: controller.StockGeoDNS, Trust: "third-party"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res, err := c.Inject(InjectRequest{Dst: dep.Addr, Proto: "udp", DstPort: 53}); err != nil || len(res.Emitted) != 1 {
+				t.Errorf("inject into %s = %+v, %v", dep.ID, res, err)
+			}
+			if err := c.Kill(dep.ID); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
 }

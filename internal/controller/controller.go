@@ -21,7 +21,6 @@ import (
 	"github.com/in-net/innet/internal/clicklang"
 	"github.com/in-net/innet/internal/journal"
 	"github.com/in-net/innet/internal/packet"
-	"github.com/in-net/innet/internal/platform"
 	"github.com/in-net/innet/internal/policy"
 	"github.com/in-net/innet/internal/security"
 	"github.com/in-net/innet/internal/symexec"
@@ -186,47 +185,6 @@ func (d *Deployment) onNetwork() bool {
 	return s != StatusFailed && s != StatusMigrating
 }
 
-// statefulClasses lists element classes that hold cross-packet state:
-// the platform must not consolidate such modules and uses
-// suspend/resume instead of destroy/boot for them (§5).
-var statefulClasses = map[string]bool{
-	"StatefulFirewall": true,
-	"IPRewriter":       true,
-	"FlowMeter":        true,
-	"Queue":            true,
-	"TimedUnqueue":     true,
-	"RatedUnqueue":     true,
-	"ChangeEnforcer":   true,
-}
-
-// Stateful reports whether the deployed configuration holds
-// cross-packet state.
-func (d *Deployment) Stateful() bool {
-	cfg, err := clicklang.Parse(d.Config)
-	if err != nil {
-		return true // be conservative
-	}
-	for _, decl := range cfg.Decls {
-		if statefulClasses[decl.Class] {
-			return true
-		}
-	}
-	return false
-}
-
-// PlatformSpec converts the deployment into the module spec the
-// hosting platform registers — the integration point between the
-// control plane and the (simulated) dataplane.
-func (d *Deployment) PlatformSpec() platform.ModuleSpec {
-	return platform.ModuleSpec{
-		Addr:       d.Addr,
-		Config:     d.Config,
-		Kind:       platform.ClickOS,
-		Stateful:   d.Stateful(),
-		TraceEvery: d.ReqTraceEvery,
-	}
-}
-
 // Admission-budget defaults: a pathological tenant configuration must
 // not wedge Deploy, so both the symbolic step count and the wall
 // clock are bounded and exhaustion is a *RejectionError*, not a hang.
@@ -322,6 +280,8 @@ type Controller struct {
 	// rec, when set, receives flight-recorder events for platform
 	// health flips, failovers and cache invalidations.
 	rec *telemetry.Recorder
+	// watch, when set, sees the state after every transition (Watch).
+	watch func(*journal.State)
 }
 
 // New builds a controller for the given operator topology and policy

@@ -94,7 +94,7 @@ func TestDepTableMatchesRebuild(t *testing.T) {
 			})
 			st := h.store.State()
 			reset := newController(t)
-			if err := reset.ResetToState(st); err != nil {
+			if err := reset.ResetToState(st, nil); err != nil {
 				t.Fatal(err)
 			}
 			checkDigests(t, "ResetToState", reset)

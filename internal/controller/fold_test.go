@@ -9,8 +9,11 @@ import (
 	"testing"
 
 	"github.com/in-net/innet/internal/journal"
+	"github.com/in-net/innet/internal/packet"
+	"github.com/in-net/innet/internal/platform"
 	"github.com/in-net/innet/internal/security"
 	"github.com/in-net/innet/internal/topology"
+	"github.com/in-net/innet/internal/vswitch"
 )
 
 // The controller has one transition function (applyLocked: the
@@ -30,13 +33,17 @@ import (
 // Each controller's State() must equal store.State(), and its
 // side-table must hold exactly the state's deployment IDs, each
 // embedding the state's record up to the status, which it carries
-// live.
+// live. After every op, the simulated dataplane a reconciler keeps for
+// the leader and for the twin must hold exactly the state's on-network
+// set: each deployment that is not failed, on its platform at its
+// address with its config, and nothing else.
 
 // foldHarness is a journaled leader whose records are teed into a
 // standby twin.
 type foldHarness struct {
-	leader, twin *Controller
-	store        *journal.Store
+	leader, twin     *Controller
+	store            *journal.Store
+	leaderDP, twinDP *dataplane
 }
 
 func newFoldHarness(t *testing.T) *foldHarness {
@@ -48,7 +55,74 @@ func newFoldHarness(t *testing.T) *foldHarness {
 	t.Cleanup(func() { store.Close() })
 	h := &foldHarness{leader: newController(t), twin: newController(t), store: store}
 	h.leader.AttachJournal(teeJournal{t: t, store: store, twin: h.twin})
+	h.leaderDP, h.twinDP = watchDataplane(t, h.leader), watchDataplane(t, h.twin)
 	return h
+}
+
+// dataplane is a reconciler over one simulated platform and vswitch
+// per topology platform, watching a controller.
+type dataplane struct {
+	platforms map[string]*platform.Platform
+	switches  map[string]*vswitch.Switch
+}
+
+func watchDataplane(t *testing.T, c *Controller) *dataplane {
+	dp := &dataplane{platforms: make(map[string]*platform.Platform), switches: make(map[string]*vswitch.Switch)}
+	sim := newSim()
+	for _, name := range c.topo.Platforms() {
+		dp.platforms[name] = platform.New(sim, platform.DefaultModel(), 16*1024)
+		dp.switches[name] = vswitch.New()
+	}
+	recon := platform.NewReconciler(dp.platforms, dp.switches)
+	c.Watch(func(st *journal.State) {
+		if err := recon.Reconcile(st); err != nil {
+			t.Errorf("reconcile: %v", err)
+		}
+	})
+	return dp
+}
+
+// diff lists where the dataplane departs from c's on-network set: a
+// deployment that is not failed but whose platform holds no module at
+// its address, or one with another config; or more modules or rules
+// than there are such deployments.
+func (dp *dataplane) diff(c *Controller) string {
+	var b strings.Builder
+	live, st := 0, c.State()
+	for _, id := range st.IDs() {
+		rec := st.Deployments[id]
+		if rec.Status == journal.StatusFailed {
+			continue
+		}
+		live++
+		if spec, ok := dp.platforms[rec.Platform].Spec(rec.Addr); !ok || spec.Config != rec.Config {
+			fmt.Fprintf(&b, "%s: %s at %s holds %+v (ok=%t), want its config\n", id, rec.Platform, packet.IPString(rec.Addr), spec, ok)
+		}
+	}
+	modules, rules := 0, 0
+	for name, p := range dp.platforms {
+		modules += p.RegisteredModules()
+		rules += dp.switches[name].Rules()
+	}
+	if modules != live || rules != live {
+		fmt.Fprintf(&b, "%d modules and %d rules for %d deployments on the network\n", modules, rules, live)
+	}
+	return b.String()
+}
+
+// checkDataplanes asserts that the leader's and the twin's dataplanes
+// hold their states' on-network sets.
+func checkDataplanes(t *testing.T, h *foldHarness, op int) {
+	t.Helper()
+	for _, v := range []struct {
+		name string
+		c    *Controller
+		dp   *dataplane
+	}{{"leader", h.leader, h.leaderDP}, {"ApplyRecord twin", h.twin, h.twinDP}} {
+		if diff := v.dp.diff(v.c); diff != "" {
+			t.Errorf("after op %d, the %s dataplane departs from its state:\n%s", op, v.name, diff)
+		}
+	}
 }
 
 // teeJournal appends to the store, then hands the record, with its
@@ -64,7 +138,7 @@ func (j teeJournal) Append(r journal.Record) error {
 		return err
 	}
 	r.Seq = j.store.Seq()
-	if err := j.twin.ApplyRecord(r); err != nil {
+	if err := j.twin.ApplyRecord(r, nil); err != nil {
 		j.t.Errorf("twin apply seq %d: %v", r.Seq, err)
 	}
 	return nil
@@ -76,7 +150,7 @@ func checkFold(t *testing.T, h *foldHarness) {
 	t.Helper()
 	st := h.store.State()
 	reset := newController(t)
-	if err := reset.ResetToState(st); err != nil {
+	if err := reset.ResetToState(st, nil); err != nil {
 		t.Fatal(err)
 	}
 	topo, err := topology.PaperFig3()
@@ -135,7 +209,7 @@ func FuzzControllerFold(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, ops uint8) {
 		h := newFoldHarness(t)
-		mutationScriptOps(h.leader, seed, int(ops), true, nil)
+		mutationScriptOps(h.leader, seed, int(ops), true, func(op int) { checkDataplanes(t, h, op) })
 		checkFold(t, h)
 	})
 }
@@ -186,7 +260,7 @@ func TestLoadStateIsAllOrNothing(t *testing.T) {
 		Config: "in :: NoSuchElement();", Status: journal.StatusActive,
 	}
 	st.NextID = 999
-	if err := c.ResetToState(st); err == nil {
+	if err := c.ResetToState(st, nil); err == nil {
 		t.Error("ResetToState loaded a record whose config does not build")
 	}
 	topo, err := topology.PaperFig3()

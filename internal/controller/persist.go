@@ -111,6 +111,24 @@ func (c *Controller) applyLocked(rec journal.Record, d *Deployment) {
 			}
 		}
 	}
+	c.notifyLocked()
+}
+
+// Watch makes fn see the state now and after every transition, applied
+// or loaded, in place of any earlier watcher (nil detaches). fn runs
+// under the controller's lock: it must not call into the controller,
+// nor keep or write st (its records it may keep).
+func (c *Controller) Watch(fn func(st *journal.State)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.watch = fn
+	c.notifyLocked()
+}
+
+func (c *Controller) notifyLocked() {
+	if c.watch != nil {
+		c.watch(c.state)
+	}
 }
 
 // mirrorLocked brings deployment id's side-table entry in line with
@@ -126,29 +144,6 @@ func (c *Controller) mirrorLocked(id string) {
 		d.setStatus(parseStatus(r.Status))
 	}
 	c.depsNoteLocked(id)
-}
-
-// loadStateLocked replaces the controller's state with a folded
-// journal state: the bulk form of applyLocked, shared by ResetToState
-// (standby snapshot resync) and Restore (restart recovery). It runs no
-// placement and journals nothing. Every side-table entry is rebuilt
-// before the state is adopted, so on error nothing changes.
-func (c *Controller) loadStateLocked(st *journal.State) error {
-	deployments := make(map[string]*Deployment, len(st.Deployments))
-	for _, id := range st.IDs() {
-		d, err := deploymentFromRecord(st.Deployments[id])
-		if err != nil {
-			return err
-		}
-		deployments[id] = d
-	}
-	c.state = st.Clone()
-	c.deployments = deployments
-	c.deps = newDepTable(c.topo.Platforms())
-	for id := range deployments {
-		c.depsNoteLocked(id)
-	}
-	return nil
 }
 
 // recoveredReport synthesizes a minimal security report for a
@@ -246,12 +241,12 @@ func Restore(topo *topology.Topology, operatorPolicy string, opts Options, st *j
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := c.ResetToState(st, nil); err != nil {
+		return nil, nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.journal = j
-	if err := c.loadStateLocked(st); err != nil {
-		return nil, nil, err
-	}
 
 	report := &RecoveryReport{}
 	// Pass 1: everything still present is re-attached as loaded, so its

@@ -176,10 +176,7 @@ func TestStatefulDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The batcher holds buffered packets (TimedUnqueue): stateful.
-	if !dep.Stateful() {
-		t.Error("batcher should be stateful")
-	}
-	spec := dep.PlatformSpec()
+	spec := platform.SpecOf(dep.DeploymentRecord)
 	if spec.Addr != dep.Addr || !spec.Stateful || spec.Kind != platform.ClickOS {
 		t.Errorf("spec = %+v", spec)
 	}
@@ -201,7 +198,7 @@ in -> f -> fwd -> out;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dep2.Stateful() {
+	if platform.SpecOf(dep2.DeploymentRecord).Stateful {
 		t.Error("stateless firewall flagged stateful")
 	}
 }
@@ -216,7 +213,7 @@ func TestDeployedPlatformSpecRegisters(t *testing.T) {
 	}
 	sim := newSim()
 	p := platform.New(sim, platform.DefaultModel(), 1024)
-	if err := p.Register(dep.PlatformSpec()); err != nil {
+	if err := p.Register(platform.SpecOf(dep.DeploymentRecord)); err != nil {
 		t.Fatalf("platform rejected the deployed spec: %v", err)
 	}
 }

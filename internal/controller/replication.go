@@ -112,36 +112,58 @@ func (c *Controller) DeployIdempotent(req Request) (*Deployment, bool, error) {
 }
 
 // ApplyRecord folds one replicated journal record into the live
-// controller — the standby catch-up path. The record has already been
-// ingested into the standby's journal store, so nothing is
-// re-journaled here; applyLocked makes exactly the in-memory
-// transition the leader made when it committed the record. Deployments
-// are rebuilt with deploymentFromRecord around the decoded record, which
-// the state then adopts (no symbolic re-analysis — the leader's
-// admission already paid for it, and the verdict travels with the
-// record).
-func (c *Controller) ApplyRecord(r journal.Record) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// controller, all or nothing — the standby catch-up path. It rebuilds
+// the deployment an admit or migrate installs first, so a config that
+// does not build fails before anything changes (one without its record
+// is a no-op, as in the journal's fold). Then ingest, when set, runs
+// without the controller's lock (a standby's store folds the frame
+// there), and applyLocked makes the leader's transition; nothing is
+// re-journaled or re-analysed.
+func (c *Controller) ApplyRecord(r journal.Record, ingest func() error) error {
 	var d *Deployment
-	if r.Type == journal.EvAdmit || r.Type == journal.EvMigrate {
+	if (r.Type == journal.EvAdmit || r.Type == journal.EvMigrate) && r.Dep != nil {
 		var err error
 		if d, err = deploymentFromRecord(r.Dep); err != nil {
 			return err
 		}
 	}
+	if ingest != nil {
+		if err := ingest(); err != nil {
+			return err
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.applyLocked(r, d)
 	return nil
 }
 
-// ResetToState discards the controller's in-memory deployment set and
-// rebuilds it from a folded journal state — the standby snapshot
-// resync path (the journal-store side is Store.ResetTo). Like restart
-// recovery's re-attach pass this runs no placement and journals
-// nothing; unlike Restore it reuses the live controller so the
-// topology, policy and caches survive.
-func (c *Controller) ResetToState(st *journal.State) error {
+// ResetToState is ApplyRecord for a whole folded state: the standby
+// snapshot resync (ingest resets the store) and Restore's load step.
+// It replaces the deployment set, runs no placement and journals
+// nothing; the topology, policy and caches survive.
+func (c *Controller) ResetToState(st *journal.State, ingest func() error) error {
+	deployments := make(map[string]*Deployment, len(st.Deployments))
+	for _, id := range st.IDs() {
+		d, err := deploymentFromRecord(st.Deployments[id])
+		if err != nil {
+			return err
+		}
+		deployments[id] = d
+	}
+	if ingest != nil {
+		if err := ingest(); err != nil {
+			return err
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.loadStateLocked(st)
+	c.state = st.Clone()
+	c.deployments = deployments
+	c.deps = newDepTable(c.topo.Platforms())
+	for id := range deployments {
+		c.depsNoteLocked(id)
+	}
+	c.notifyLocked()
+	return nil
 }

@@ -76,7 +76,7 @@ func TestSnapshotSyncMatchesCompile(t *testing.T) {
 					c.Deploy(others[2])
 				}
 				if op%13 == 12 {
-					if err := c.ResetToState(c.State()); err != nil {
+					if err := c.ResetToState(c.State(), nil); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -66,8 +66,9 @@ func newCacheCrashCluster(t *testing.T, cacheSize int) *Cluster {
 	return cl
 }
 
-// killModule tears a deployment down across all layers, so an
-// identical redeploy exercises the cache-hit admission path.
+// killModule kills a deployment, which the reconciler tears down on
+// its platform and switch, so an identical redeploy exercises the
+// cache-hit admission path.
 func killModule(t *testing.T, cl *Cluster, idx int) {
 	t.Helper()
 	d := cl.dep(idx)
@@ -77,11 +78,8 @@ func killModule(t *testing.T, cl *Cluster, idx int) {
 	if err := cl.Ctl.Kill(d.ID); err != nil {
 		t.Fatalf("kill %s: %v", d.ID, err)
 	}
-	cl.Platform(d.Platform).Unregister(d.Addr)
-	if r := cl.rules[d.ID]; r != nil {
-		if err := cl.switches[cl.ruleOn[d.ID]].Remove(r); err != nil {
-			t.Fatalf("rule remove %s: %v", d.ID, err)
-		}
+	if cl.Platform(d.Platform).HasModule(d.Addr) {
+		t.Fatalf("kill %s left the module registered on %s", d.ID, d.Platform)
 	}
 }
 

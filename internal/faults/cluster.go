@@ -38,10 +38,9 @@ type Cluster struct {
 
 	platforms map[string]*platform.Platform
 	switches  map[string]*vswitch.Switch
+	recon     *platform.Reconciler
 	// depIDs orders deployments; fault Module indexes resolve here.
 	depIDs []string
-	rules  map[string]*vswitch.Rule
-	ruleOn map[string]string // deployment ID -> switch (platform) name
 
 	lossUntil map[string]netsim.Time
 	lossProb  map[string]float64
@@ -88,8 +87,6 @@ func NewClusterWithOptions(seed int64, topo *topology.Topology, operatorPolicy, 
 		stateDir:  stateDir,
 		platforms: make(map[string]*platform.Platform),
 		switches:  make(map[string]*vswitch.Switch),
-		rules:     make(map[string]*vswitch.Rule),
-		ruleOn:    make(map[string]string),
 		lossUntil: make(map[string]netsim.Time),
 		lossProb:  make(map[string]float64),
 	}
@@ -110,7 +107,17 @@ func NewClusterWithOptions(seed int64, topo *topology.Topology, operatorPolicy, 
 		c.platforms[name] = p
 		c.switches[name] = sw
 	}
+	c.recon = platform.NewReconciler(c.platforms, c.switches)
+	ctl.Watch(c.reconcile)
 	return c, nil
+}
+
+// reconcile makes the dataplane follow the controller; a failed
+// install lands in Errs.
+func (c *Cluster) reconcile(st *journal.State) {
+	if err := c.recon.Reconcile(st); err != nil {
+		c.Errs = append(c.Errs, err.Error())
+	}
 }
 
 func (c *Cluster) recv(iface int, pk *packet.Packet) { c.Received++ }
@@ -121,31 +128,16 @@ func (c *Cluster) Platform(name string) *platform.Platform { return c.platforms[
 // Switch returns a platform's back-end switch by name.
 func (c *Cluster) Switch(name string) *vswitch.Switch { return c.switches[name] }
 
-// Deploy verifies and places a request, registers the module on its
-// hosting platform and installs the steering rule. The returned index
-// identifies the module for Send and for fault plans.
+// Deploy verifies and places a request; the reconciler registers the
+// module on its hosting platform and installs the steering rule. The
+// returned index identifies the module for Send and for fault plans.
 func (c *Cluster) Deploy(req controller.Request) (int, error) {
 	dep, err := c.Ctl.Deploy(req)
 	if err != nil {
 		return -1, err
 	}
-	if err := c.platforms[dep.Platform].Register(dep.PlatformSpec()); err != nil {
-		return -1, err
-	}
-	c.installRule(dep)
 	c.depIDs = append(c.depIDs, dep.ID)
 	return len(c.depIDs) - 1, nil
-}
-
-func (c *Cluster) installRule(dep *controller.Deployment) {
-	sw := c.switches[dep.Platform]
-	r := sw.Install(vswitch.Rule{
-		Match:  vswitch.Match{DstIP: dep.Addr},
-		Action: vswitch.ActToModule,
-		Module: dep.Addr,
-	})
-	c.rules[dep.ID] = r
-	c.ruleOn[dep.ID] = dep.Platform
 }
 
 // dep resolves a module index to its current deployment (placements
@@ -205,22 +197,7 @@ func (c *Cluster) PlatformDown(name string) {
 	c.platforms[name].Fail()
 	c.switches[name].SetDown(true)
 	c.Ctl.MarkPlatformDown(name)
-	migrated, failed := c.Ctl.Failover(name)
-	for _, m := range migrated {
-		// Tear down the stale placement...
-		c.platforms[m.From.Platform].Unregister(m.From.Addr)
-		if r := c.rules[m.From.ID]; r != nil {
-			if err := c.switches[c.ruleOn[m.From.ID]].Remove(r); err != nil {
-				c.Errs = append(c.Errs, fmt.Sprintf("rule remove %s: %v", m.From.ID, err))
-			}
-		}
-		// ...and stand up the verified replacement.
-		if err := c.platforms[m.To.Platform].Register(m.To.PlatformSpec()); err != nil {
-			c.Errs = append(c.Errs, fmt.Sprintf("register %s: %v", m.To.ID, err))
-			continue
-		}
-		c.installRule(m.To)
-	}
+	_, failed := c.Ctl.Failover(name)
 	for _, d := range failed {
 		c.Errs = append(c.Errs, fmt.Sprintf("failover %s: no alternate platform", d.ID))
 	}
@@ -256,18 +233,14 @@ func (ci clusterInventory) HasModule(name string, addr uint32) bool {
 // opened over the state dir (exactly the restart path innetd takes),
 // and the controller is rebuilt from snapshot + journal. Deployments
 // whose platform vanished while the controller was down are re-placed
-// and their dataplane rules moved. Without a state dir the fault is
-// recorded in Errs and skipped.
+// and, once the reconciler watches the restored controller, moved.
+// Without a state dir the fault is recorded in Errs and skipped.
 func (c *Cluster) CrashController() {
 	if c.store == nil {
 		c.Errs = append(c.Errs, "controller-crash: no state dir; fault skipped")
 		return
 	}
 	// Only the state dir survives the crash.
-	old := make(map[string]*controller.Deployment)
-	for _, d := range c.Ctl.Deployments() {
-		old[d.ID] = d
-	}
 	if err := c.store.Close(); err != nil {
 		c.Errs = append(c.Errs, fmt.Sprintf("controller-crash: close store: %v", err))
 	}
@@ -276,7 +249,7 @@ func (c *Cluster) CrashController() {
 		c.Errs = append(c.Errs, fmt.Sprintf("controller-crash: reopen journal: %v", err))
 		return
 	}
-	ctl, rep, err := controller.Restore(c.topo, c.policy, c.opts, store.State(), clusterInventory{c}, store)
+	ctl, _, err := controller.Restore(c.topo, c.policy, c.opts, store.State(), clusterInventory{c}, store)
 	if err != nil {
 		store.Close()
 		c.Errs = append(c.Errs, fmt.Sprintf("controller-crash: restore: %v", err))
@@ -284,27 +257,7 @@ func (c *Cluster) CrashController() {
 	}
 	c.Ctl = ctl
 	c.store = store
-	// Move the dataplane for re-placed deployments: tear down the
-	// stale registration and rule, stand up the recovered placement.
-	for _, id := range rep.Replaced {
-		nd, ok := ctl.Get(id)
-		if !ok {
-			continue
-		}
-		if od := old[id]; od != nil {
-			c.platforms[od.Platform].Unregister(od.Addr)
-			if r := c.rules[id]; r != nil {
-				if err := c.switches[c.ruleOn[id]].Remove(r); err != nil {
-					c.Errs = append(c.Errs, fmt.Sprintf("controller-crash: rule remove %s: %v", id, err))
-				}
-			}
-		}
-		if err := c.platforms[nd.Platform].Register(nd.PlatformSpec()); err != nil {
-			c.Errs = append(c.Errs, fmt.Sprintf("controller-crash: register %s: %v", id, err))
-			continue
-		}
-		c.installRule(nd)
-	}
+	ctl.Watch(c.reconcile)
 	c.Recoveries++
 }
 

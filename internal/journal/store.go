@@ -227,28 +227,20 @@ func (s *Store) Append(r Record) error {
 // follower-mode write path. A standby receives frames from the leader
 // byte-identical to the leader's journal file, so ingesting them
 // unmodified keeps the two files (and their CRCs) byte-identical too.
-// The frame must decode to exactly one valid record carrying the next
-// expected sequence number; anything else is rejected before touching
-// the file.
-func (s *Store) IngestFrame(frame []byte) (Record, error) {
+// r is the frame's one record, as the caller decoded it (DecodeAll);
+// it must carry the next expected sequence number, or the frame is
+// rejected before touching the file.
+func (s *Store) IngestFrame(frame []byte, r Record) error {
 	if s.f == nil {
-		return Record{}, fmt.Errorf("journal: store is closed")
+		return fmt.Errorf("journal: store is closed")
 	}
 	if err := s.Wedged(); err != nil {
-		return Record{}, fmt.Errorf("journal: store failed: %w", err)
+		return fmt.Errorf("journal: store failed: %w", err)
 	}
-	recs, valid := DecodeAll(frame, 0)
-	if valid != int64(len(frame)) || len(recs) != 1 {
-		return Record{}, fmt.Errorf("journal: ingest: corrupt or multi-record frame (%d bytes, %d records, %d valid)", len(frame), len(recs), valid)
-	}
-	r := recs[0]
 	if want := s.state.Seq + 1; r.Seq != want {
-		return Record{}, fmt.Errorf("journal: ingest: out-of-order frame seq %d (want %d)", r.Seq, want)
+		return fmt.Errorf("journal: ingest: out-of-order frame seq %d (want %d)", r.Seq, want)
 	}
-	if err := s.commitFrame(frame, r); err != nil {
-		return Record{}, err
-	}
-	return r, nil
+	return s.commitFrame(frame, r)
 }
 
 // commitFrame writes an encoded frame, fsyncs per policy, folds the

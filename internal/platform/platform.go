@@ -296,6 +296,14 @@ func (p *Platform) HasModule(addr uint32) bool {
 	return ok
 }
 
+// Spec returns the module spec registered at addr.
+func (p *Platform) Spec(addr uint32) (ModuleSpec, bool) {
+	if s, ok := p.specs[addr]; ok {
+		return *s, true
+	}
+	return ModuleSpec{}, false
+}
+
 // Deliver is the back-end switch datapath: a packet arriving for a
 // module address is steered to its VM, booting or resuming it first
 // if needed (the switch controller of §5). out is invoked, in virtual

@@ -35,6 +35,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/in-net/innet/internal/controller"
@@ -172,6 +173,7 @@ func (n *Node) runElection() error {
 	}
 	votes := 1 // self
 	var maxSeen, maxVoted uint64
+	var refusals []string
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for pending := len(addrs); pending > 0 && votes < majority; pending-- {
@@ -179,6 +181,8 @@ func (n *Node) runElection() error {
 		case b := <-results:
 			if b.Granted {
 				votes++
+			} else if b.Reason != "" {
+				refusals = append(refusals, b.Reason)
 			}
 			maxSeen = max(maxSeen, b.Term)
 			maxVoted = max(maxVoted, b.Voted)
@@ -199,7 +203,7 @@ func (n *Node) runElection() error {
 	if votes < majority {
 		n.mu.Unlock()
 		n.electionsLost.Add(1)
-		n.logf("replication: election for term %d lost (%d/%d votes)", term, votes, majority)
+		n.logf("replication: election for term %d lost (%d/%d votes; refused: %s)", term, votes, majority, strings.Join(refusals, "; "))
 		return fmt.Errorf("%w: term %d, %d/%d votes", errElectionLost, term, votes, majority)
 	}
 	if n.fenced || n.closed || n.role == controller.RoleLeader || n.term > term {
@@ -275,7 +279,6 @@ func (n *Node) handleVote(conn net.Conn, h hello) {
 	default:
 		if err := n.persistVoteLocked(h.Term, h.Candidate); err != nil {
 			reason = fmt.Sprintf("vote persistence failed: %v", err)
-			n.logf("replication: %s", reason)
 		} else {
 			granted = true
 		}
@@ -303,6 +306,8 @@ func (n *Node) handleVote(conn net.Conn, h hello) {
 	n.mu.Unlock()
 	if granted {
 		n.logf("replication: granted vote to %s for term %d", h.Candidate, h.Term)
+	} else {
+		n.logf("replication: refused vote to %s for term %d: %s", h.Candidate, h.Term, reason)
 	}
 	writeJSONLine(conn, rep)
 }

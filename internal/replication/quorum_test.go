@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -455,4 +458,79 @@ func TestFencedNodeRefusesElection(t *testing.T) {
 	if err := leader.node.Promote(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced Promote = %v, want ErrFenced", err)
 	}
+}
+
+// logLines collects a node's Logf output.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logLines) has(t *testing.T, want string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, line := range l.lines {
+		if strings.Contains(line, want) {
+			return
+		}
+	}
+	t.Errorf("no log line contains %q; got:\n%s", want, strings.Join(l.lines, "\n"))
+}
+
+// A voter logs every refusal with the candidate, the term and the
+// reason, and a losing candidate logs the reasons it got back: an
+// election that never ends must say why.
+func TestVoteRefusalsAreLogged(t *testing.T) {
+	boot := func(cfg Config, records int) (*Node, *logLines) {
+		topo, err := topology.PaperFig3()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl, err := controller.New(topo, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := journal.Open(t.TempDir(), journal.Options{Sync: journal.SyncNone, CompactEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		for i := 0; i < records; i++ {
+			if err := store.Append(journal.Record{Type: journal.EvReject}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		logs := &logLines{}
+		cfg.Role, cfg.Logf = controller.RoleStandby, logs.logf
+		node, err := NewNode(store, ctl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		return node, logs
+	}
+	voter, voterLog := boot(Config{ListenAddr: "127.0.0.1:0"}, 2)
+	if err := voter.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := sendRaw(t, voter.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 5, Seq: 2, Candidate: "first"}); !rep.Granted {
+		t.Fatalf("up-to-date candidate refused: %s", rep.Reason)
+	}
+	sendRaw(t, voter.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 3, Seq: 2, Candidate: "stale"})
+	sendRaw(t, voter.Addr(), hello{Proto: Proto, Kind: helloKindVote, Term: 6, Candidate: "behind"})
+	voterLog.has(t, "refused vote to stale for term 3: stale term 3 (current 5)")
+	voterLog.has(t, "refused vote to behind for term 6: candidate log (term 0, seq 0) behind ours (term 0, seq 2)")
+
+	cand, candLog := boot(Config{AdvertiseURL: "http://cand", Peers: []string{voter.Addr(), "127.0.0.1:1"}}, 0)
+	if err := cand.Promote(); !errors.Is(err, errElectionLost) {
+		t.Fatalf("campaign = %v, want errElectionLost", err)
+	}
+	candLog.has(t, "election for term 2 lost (1/2 votes; refused: stale term 2 (current 5))")
 }

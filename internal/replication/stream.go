@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -236,25 +237,21 @@ func (n *Node) ingestLoop(conn net.Conn, br *bufio.Reader) {
 				n.logf("replication: corrupt snapshot: %v", err)
 				return
 			}
-			n.mu.Lock()
-			if n.role != controller.RoleStandby {
-				n.mu.Unlock()
-				return
-			}
-			err := n.store.ResetTo(st)
-			if err == nil {
-				if st.Term > n.term {
-					n.term = st.Term
+			err := n.ctl.ResetToState(st, func() error {
+				n.mu.Lock()
+				defer n.mu.Unlock()
+				if n.role != controller.RoleStandby {
+					return errors.New("no longer a standby")
 				}
+				if err := n.store.ResetTo(st); err != nil {
+					return err
+				}
+				n.term = max(n.term, st.Term)
 				n.lastContact = time.Now()
-			}
-			n.mu.Unlock()
+				return nil
+			})
 			if err != nil {
-				n.logf("replication: snapshot resync failed: %v", err)
-				return
-			}
-			if err := n.ctl.ResetToState(st); err != nil {
-				n.logf("replication: controller resync failed: %v", err)
+				n.logf("replication: snapshot resync: %v, dropping stream", err)
 				return
 			}
 			n.resyncs.Add(1)
@@ -267,52 +264,12 @@ func (n *Node) ingestLoop(conn net.Conn, br *bufio.Reader) {
 			if err != nil {
 				return
 			}
-			recs, valid := journal.DecodeAll(frame, 0)
-			if valid != int64(len(frame)) || len(recs) != 1 {
-				n.logf("replication: corrupt frame off the wire, dropping stream")
+			seq, err := n.ingestFrame(frame)
+			if err != nil {
+				n.logf("replication: frame seq %d: %v, dropping stream", seq, err)
 				return
 			}
-			rec := recs[0]
-			n.mu.Lock()
-			if n.role != controller.RoleStandby {
-				n.mu.Unlock()
-				return
-			}
-			cur := n.store.Seq()
-			if rec.Seq <= cur {
-				// Duplicate from a reconnect replay: already durable.
-				n.lastContact = time.Now()
-				n.mu.Unlock()
-				if !ack(rec.Seq) {
-					return
-				}
-				continue
-			}
-			if rec.Seq != cur+1 {
-				// Gap — the stream desynchronized; re-handshake resolves
-				// the correct catch-up point.
-				n.mu.Unlock()
-				n.logf("replication: frame gap (have %d, got %d), dropping stream", cur, rec.Seq)
-				return
-			}
-			if _, err := n.store.IngestFrame(frame); err != nil {
-				n.mu.Unlock()
-				n.logf("replication: ingest: %v", err)
-				return
-			}
-			if rec.Type == journal.EvTerm && rec.Term > n.term {
-				n.term = rec.Term
-			}
-			n.lastContact = time.Now()
-			n.mu.Unlock()
-			n.framesIngested.Add(1)
-			if err := n.ctl.ApplyRecord(rec); err != nil {
-				// The record is durable; only the warm replica is
-				// stale. Surface loudly — a promotion would recover via
-				// Restore from the (correct) journal.
-				n.logf("replication: apply seq %d: %v", rec.Seq, err)
-			}
-			if !ack(rec.Seq) {
+			if !ack(seq) {
 				return
 			}
 
@@ -321,6 +278,47 @@ func (n *Node) ingestLoop(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 	}
+}
+
+var errDuplicate = errors.New("duplicate frame")
+
+// ingestFrame folds one frame into the store and the controller, both
+// or neither, and returns its sequence number. ApplyRecord refuses a
+// config that does not build before the store ingests the frame under
+// n.mu; the controller adopts it once n.mu is released, since a leader
+// takes the two locks the other way round (commitLocked calls
+// AppendSync). A duplicate from a reconnect replay changes nothing.
+func (n *Node) ingestFrame(frame []byte) (uint64, error) {
+	recs, valid := journal.DecodeAll(frame, 0)
+	if valid != int64(len(frame)) || len(recs) != 1 {
+		return 0, errors.New("corrupt frame off the wire")
+	}
+	rec := recs[0]
+	err := n.ctl.ApplyRecord(rec, func() error {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.role != controller.RoleStandby {
+			return errors.New("no longer a standby")
+		}
+		if rec.Seq <= n.store.Seq() {
+			n.lastContact = time.Now()
+			return errDuplicate
+		}
+		// A gap fails here; the re-handshake resolves the catch-up point.
+		if err := n.store.IngestFrame(frame, rec); err != nil {
+			return err
+		}
+		if rec.Type == journal.EvTerm {
+			n.term = max(n.term, rec.Term)
+		}
+		n.lastContact = time.Now()
+		n.framesIngested.Add(1)
+		return nil
+	})
+	if errors.Is(err, errDuplicate) {
+		err = nil
+	}
+	return rec.Seq, err
 }
 
 // readFrame reads one length-prefixed journal frame (header + payload)
